@@ -92,7 +92,6 @@ RoundTripResult run_single_server_roundtrip(const RoundTripConfig& cfg) {
   }
 
   ServerConfig scfg;
-  scfg.stateful = cfg.stateful;
   scfg.flush = cfg.flush;
   scfg.use_ip_multicast = cfg.use_ip_multicast;
   GroupStore store;

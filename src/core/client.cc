@@ -276,8 +276,7 @@ void CoronaClient::handle_join_reply(const Message& m) {
     return;
   }
   Replica r;
-  r.state.load(m.seq, m.state);
-  for (const UpdateRecord& u : m.updates) r.state.apply(u);
+  r.state.load(m.seq, m.state, m.updates);
   r.next_expected = r.state.head_seq() + 1;
   for (const MemberInfo& mi : m.members) r.members.emplace(mi.node, mi.role);
   replicas_[m.group] = std::move(r);

@@ -1,10 +1,12 @@
-// Group bookkeeping at the server (paper §3.1).
+// The per-group engine (paper §3.1, and the coordinator of §4.1).
 //
 // A group binds together: metadata (persistent/transient), the shared state,
 // the membership (with roles and per-member notification preferences), the
 // sequencer for the group's total order, the lock table, and the dedup set
 // used by crash recovery (one (sender, request-id) pair per sequenced
-// message, so resent updates are sequenced at most once).
+// message, so resent updates are sequenced at most once).  The single
+// server and the replicated star's coordinator each keep one Group per
+// group: the authoritative copy applies every record it sequences.
 #pragma once
 
 #include <map>
@@ -16,6 +18,7 @@
 #include "core/shared_state.h"
 #include "serial/message.h"
 #include "storage/group_store.h"
+#include "util/context.h"
 #include "util/ids.h"
 
 namespace corona {
@@ -23,6 +26,7 @@ namespace corona {
 struct Member {
   MemberRole role = MemberRole::kPrincipal;
   bool wants_membership_notices = false;
+  NodeId leaf;  // replicated star: the leaf server the member connects through
 };
 
 class Group {
@@ -40,6 +44,8 @@ class Group {
   // -- membership ----------------------------------------------------------
   // Returns false if already a member.
   bool add_member(NodeId node, MemberRole role, bool wants_notices);
+  // Adds `node` or replaces its entry (a coordinator's member re-registration).
+  void set_member(NodeId node, Member info) { members_[node] = info; }
   // Returns false if not a member.
   bool remove_member(NodeId node);
   bool is_member(NodeId node) const { return members_.contains(node); }
@@ -53,6 +59,17 @@ class Group {
   std::vector<NodeId> notice_subscribers() const;
 
   // -- sequencing ------------------------------------------------------------
+  // Sequences `rec` into the group's total order: stamps the next seq, marks
+  // (sender, request_id) seen, applies it to the shared state and appends it
+  // to `log`.  A null `log` leaves the durable image to the caller
+  // (partition reconciliation re-sequences a branch it then checkpoints).
+  CORONA_HOT_PATH void sequence(UpdateRecord& rec, GroupStore* log);
+  // Replaces the sequenced state: installs `snapshot` at `base_seq`, replays
+  // `updates` over it and marks them seen, and resumes the sequencer right
+  // after them.  Recovery, coordinator promotion, takeover and state pushes
+  // all rebuild a group this way.
+  void restore(SeqNo base_seq, const std::vector<StateEntry>& snapshot,
+               const std::vector<UpdateRecord>& updates);
   // Allocates the next sequence number in the group's total order.
   SeqNo allocate_seq() { return next_seq_++; }
   SeqNo next_seq() const { return next_seq_; }
@@ -67,9 +84,12 @@ class Group {
     return seen_.contains({sender.value, rid});
   }
 
-  // Structural invariants: every applied seq precedes next_seq_; every lock
-  // holder and waiter is a current member (drop_member on leave/crash must
-  // keep this); plus the nested SharedState and LockTable invariants.
+  // Sequencer invariants: next_seq_ is exactly head_seq+1 (the sequencer
+  // never skips or reuses a number); the retained history is gapless (the
+  // group applies every record it sequences, unlike client copies, which
+  // may hold object-filtered tails); every lock holder and waiter is a
+  // current member (drop_member on leave/crash must keep this); plus the
+  // nested SharedState and LockTable invariants.
   InvariantReport check_invariants() const;
 
  private:

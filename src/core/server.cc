@@ -1,9 +1,8 @@
 #include "core/server.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <set>
+#include <utility>
 
 #include "util/invariant.h"
 #include "util/logging.h"
@@ -12,8 +11,12 @@ namespace corona {
 
 CoronaServer::CoronaServer(ServerConfig config, GroupStore* store,
                            SessionManager* session_manager)
-    : config_(std::move(config)), store_(store), session_(session_manager),
-      qos_(config_.qos) {
+    : config_(std::move(config)),
+      store_(store),
+      session_(session_manager),
+      qos_(config_.qos),
+      outbox_(config_.batch_max_msgs, config_.batch_max_delay, kBatchTimer,
+               config_.debug_drop_batch_tail) {
   if (store_ == nullptr) {
     owned_store_ = std::make_unique<GroupStore>();
     store_ = owned_store_.get();
@@ -30,33 +33,21 @@ CoronaServer::CoronaServer(ServerConfig config, GroupStore* store,
 CoronaServer::~CoronaServer() = default;
 
 void CoronaServer::on_start() {
-  if (config_.stateful) {
-    recover_from_store();
-    if (config_.flush == FlushPolicy::kAsync) schedule_flush();
-  }
+  recover_from_store();
+  if (config_.flush == FlushPolicy::kAsync) schedule_flush();
   if (config_.client_timeout > 0) {
     set_timer(config_.client_timeout / 2, kLivenessTimer);
   }
 }
 
 void CoronaServer::recover_from_store() {
-  for (RecoveredGroup& rg : store_->recover()) {
-    Group group(rg.meta);
-    group.state().load(rg.base_seq, rg.snapshot);
-    SeqNo head = rg.base_seq;
-    for (const UpdateRecord& u : rg.updates) {
-      group.state().apply(u);
-      group.mark_seen(u.sender, u.request_id);
-      head = u.seq;
-    }
-    group.set_next_seq(head + 1);
-    CORONA_CHECK_INVARIANTS(group);
-    const GroupId id = rg.meta.id;
-    groups_.erase(id);
-    groups_.emplace(id, std::move(group));
-    reduction_[id] = config_.reduction_factory();
-    LOG_INFO("server", "recovered ", id, " head=", head,
-             " objects=", groups_.at(id).state().object_count());
+  for (const RecoveredGroup& rg : store_->recover()) {
+    const GroupId gid = rg.meta.id;
+    Group& group = groups_.insert_or_assign(gid, Group(rg.meta)).first->second;
+    group.restore(rg.base_seq, rg.snapshot, rg.updates);
+    reduction_[gid] = config_.reduction_factory();
+    LOG_INFO("server", "recovered ", gid, " head=", group.state().head_seq(),
+             " objects=", group.state().object_count());
   }
 }
 
@@ -128,8 +119,8 @@ void CoronaServer::on_timer(std::uint64_t tag) {
     return;
   }
   if (tag == kBatchTimer) {
-    batch_timer_ = 0;
-    drain_batch();
+    outbox_.timer_fired();
+    drain_batch(std::exchange(batch_queue_, {}));
     return;
   }
   if (tag >= kPeerTagBase) {
@@ -141,7 +132,7 @@ void CoronaServer::on_timer(std::uint64_t tag) {
     if (it == pending_sync_.end()) return;
     std::vector<PendingDelivery> items = std::move(it->second);
     pending_sync_.erase(it);
-    fanout_batch(items);
+    deliver(items);
     return;
   }
 }
@@ -214,10 +205,8 @@ void CoronaServer::handle_create(NodeId from, const Message& m) {
   group.state().load(0, m.state);
   groups_.emplace(m.group, std::move(group));
   reduction_[m.group] = config_.reduction_factory();
-  if (config_.stateful) {
-    store_->create_group(meta, m.state);
-    if (config_.flush == FlushPolicy::kSync) flush_now();
-  }
+  store_->create_group(meta, m.state);
+  if (config_.flush == FlushPolicy::kSync) flush_now();
   send(from, make_reply(Status::ok(), m.request_id));
 }
 
@@ -240,7 +229,7 @@ void CoronaServer::handle_delete(NodeId from, const Message& m) {
   }
   groups_.erase(m.group);
   reduction_.erase(m.group);
-  if (config_.stateful) store_->remove_group(m.group);
+  store_->remove_group(m.group);
   send(from, make_reply(Status::ok(), m.request_id));
 }
 
@@ -272,7 +261,7 @@ void CoronaServer::handle_join(NodeId from, const Message& m) {
   // Peer-transfer baseline (§2's ISIS-style join): fetch the state from an
   // existing member instead of the service copy.  Membership is finalized
   // when the transfer completes; the reply is deferred.
-  if (config_.stateful && config_.join_transfer == JoinTransferMode::kPeer &&
+  if (config_.join_transfer == JoinTransferMode::kPeer &&
       group->member_count() > 1) {
     group->remove_member(from);  // re-added when the transfer lands
     begin_peer_transfer(*group, from, m);
@@ -281,18 +270,14 @@ void CoronaServer::handle_join(NodeId from, const Message& m) {
 
   // Customized state transfer (§3.2).  The join involves no existing member:
   // everything comes from the server's copy of the shared state.
-  if (config_.stateful) {
-    TransferContent t = build_transfer(group->state(), m.policy);
-    reply.seq = t.base_seq;
-    reply.state = std::move(t.snapshot);
-    reply.updates = std::move(t.updates);
-    std::size_t bytes = 0;
-    for (const StateEntry& s : reply.state) bytes += s.data.size();
-    for (const UpdateRecord& u : reply.updates) bytes += u.data.size();
-    stats_.transfer_bytes += bytes;
-  } else {
-    reply.seq = group->next_seq() - 1;
-  }
+  TransferContent t = build_transfer(group->state(), m.policy);
+  reply.seq = t.base_seq;
+  reply.state = std::move(t.snapshot);
+  reply.updates = std::move(t.updates);
+  std::size_t bytes = 0;
+  for (const StateEntry& s : reply.state) bytes += s.data.size();
+  for (const UpdateRecord& u : reply.updates) bytes += u.data.size();
+  stats_.transfer_bytes += bytes;
   reply.members = group->member_list();
   ++stats_.joins_served;
   if (config_.client_timeout > 0) client_last_heard_[from] = now();
@@ -426,7 +411,7 @@ void CoronaServer::handle_leave(NodeId from, const Message& m) {
   if (group->member_count() == 0 && !group->persistent()) {
     groups_.erase(m.group);
     reduction_.erase(m.group);
-    if (config_.stateful) store_->remove_group(m.group);
+    store_->remove_group(m.group);
   }
 
   // Stop liveness tracking once the client belongs to no group.
@@ -498,102 +483,38 @@ void CoronaServer::handle_bcast(NodeId from, const Message& m) {
   rec.timestamp = now();  // server-side real-time stamping (§3.2)
   rec.request_id = m.request_id;
 
-  if (config_.batch_max_msgs > 1) {
-    // Batched path: the record is timestamped now (arrival), sequenced at
-    // the next drain in arrival order — the same order and the same record
-    // bytes the per-message path would produce.
-    enqueue_batch(
-        PendingDelivery{m.group, std::move(rec), m.sender_inclusive, from});
-    return;
-  }
-  sequence_and_deliver(*group, std::move(rec), m.sender_inclusive, from);
-}
-
-void CoronaServer::sequence_record(Group& group, UpdateRecord& rec) {
-  rec.seq = group.allocate_seq();
-  group.mark_seen(rec.sender, rec.request_id);
-  ++stats_.messages_sequenced;
-
-  if (config_.stateful) {
-    // State maintenance: constant + linear-in-payload CPU, the overhead the
-    // Figure 3 comparison isolates.
-    rt().charge_cpu(id(), config_.state_cpu_per_msg +
-                              static_cast<Duration>(std::llround(
-                                  config_.state_cpu_per_byte *
-                                  static_cast<double>(rec.data.size()))));
-    group.state().apply(rec);
-    store_->append_update(group.meta().id, rec);
+  // The record is stamped now (arrival) and sequenced at the next drain in
+  // arrival order, so every batch size delivers the same bytes.
+  batch_queue_.push_back(
+      PendingDelivery{m.group, std::move(rec), m.sender_inclusive, from});
+  if (outbox_.full(*this, batch_queue_.size())) {
+    drain_batch(std::exchange(batch_queue_, {}));
   }
 }
 
-void CoronaServer::sequence_and_deliver(Group& group, UpdateRecord rec,
-                                        bool sender_inclusive, NodeId sender) {
-  sequence_record(group, rec);
-
-  if (config_.stateful && config_.flush == FlushPolicy::kSync) {
-    // Ablation baseline: hold the delivery until the log record is on the
-    // device.
-    const std::uint64_t bytes = store_->pending_bytes();
-    const std::size_t records = store_->flush();
-    ++stats_.flushes;
-    const TimePoint done =
-        rt().disk_write(id(), bytes, std::max<std::size_t>(records, 1));
-    const std::uint64_t token = next_pending_++;
-    pending_sync_[token].push_back(PendingDelivery{
-        group.meta().id, std::move(rec), sender_inclusive, sender});
-    set_timer(done - now(), kSyncTagBase + token);
-    maybe_reduce(group);
-    return;
-  }
-
-  deliver_to_members(group, rec, sender_inclusive, sender);
-  if (config_.stateful) maybe_reduce(group);
-  CORONA_CHECK_INVARIANTS(group);
-}
-
-void CoronaServer::enqueue_batch(PendingDelivery p) {
-  batch_queue_.push_back(std::move(p));
-  if (batch_queue_.size() >= config_.batch_max_msgs) {
-    if (batch_timer_ != 0) {
-      cancel_timer(batch_timer_);
-      batch_timer_ = 0;
-    }
-    drain_batch();
-    return;
-  }
-  if (batch_timer_ == 0) {
-    batch_timer_ = set_timer(config_.batch_max_delay, kBatchTimer);
-  }
-}
-
-void CoronaServer::drain_batch() {
-  if (batch_queue_.empty()) return;
-  std::vector<PendingDelivery> batch = std::move(batch_queue_);
-  batch_queue_.clear();
+void CoronaServer::drain_batch(std::vector<PendingDelivery> batch) {
   if (batch.size() > 1) {
     ++stats_.batches_sequenced;
     stats_.batched_messages += batch.size();
   }
-
-  // Sequence in arrival order — exactly the order the per-message path
-  // would have produced.  A group deleted since arrival drops its queued
-  // multicasts, as a delete racing an in-flight bcast always has.
-  std::vector<PendingDelivery> live;
-  live.reserve(batch.size());
+  // A group deleted since arrival drops its queued multicasts, as a delete
+  // racing an in-flight bcast always has.
+  std::erase_if(batch, [this](const PendingDelivery& p) {
+    return !groups_.contains(p.group);
+  });
+  if (batch.empty()) return;
   std::set<GroupId> touched;
   for (PendingDelivery& p : batch) {
-    Group* group = find_group(p.group);
-    if (group == nullptr) continue;
-    sequence_record(*group, p.rec);
+    groups_.at(p.group).sequence(p.rec, store_);
+    ++stats_.messages_sequenced;
+    rt().charge_cpu(id(), apply_cpu_cost(p.rec));
     touched.insert(p.group);
-    live.push_back(std::move(p));
   }
-  if (live.empty()) return;
 
-  if (config_.stateful && config_.flush == FlushPolicy::kSync) {
+  if (config_.flush == FlushPolicy::kSync) {
     // Group commit: ONE flush and ONE device write cover the entire batch;
-    // the device's fixed per-op cost is paid once for the whole run.  The
-    // run is delivered together when the commit lands.
+    // the device's fixed per-op cost is paid once for the whole run, which
+    // is delivered together when the commit lands.
     const std::uint64_t bytes = store_->pending_bytes();
     const std::size_t records = store_->flush();
     ++stats_.flushes;
@@ -604,88 +525,41 @@ void CoronaServer::drain_batch() {
     const TimePoint done =
         rt().disk_write(id(), bytes, std::max<std::size_t>(records, 1));
     const std::uint64_t token = next_pending_++;
-    pending_sync_[token] = std::move(live);
+    pending_sync_[token] = std::move(batch);
     set_timer(done - now(), kSyncTagBase + token);
-    for (GroupId gid : touched) {
-      if (Group* g = find_group(gid)) maybe_reduce(*g);
-    }
-    return;
+  } else {
+    deliver(batch);
   }
-
-  fanout_batch(live);
   for (GroupId gid : touched) {
-    if (Group* g = find_group(gid)) {
-      if (config_.stateful) maybe_reduce(*g);
-      CORONA_CHECK_INVARIANTS(*g);
-    }
+    Group& g = groups_.at(gid);
+    maybe_reduce(g);
+    CORONA_CHECK_INVARIANTS(g);
   }
 }
 
-void CoronaServer::fanout_batch(std::vector<PendingDelivery>& items) {
-  if (items.size() == 1) {
-    PendingDelivery& p = items.front();
-    if (Group* g = find_group(p.group)) {
-      deliver_to_members(*g, p.rec, p.sender_inclusive, p.sender);
-    }
-    return;
-  }
-  if (config_.use_ip_multicast) {
-    // One-to-many transport already coalesces the fan-out; batching the
-    // frames on top buys nothing, so keep per-record multicast.
-    for (PendingDelivery& p : items) {
-      if (Group* g = find_group(p.group)) {
-        deliver_to_members(*g, p.rec, p.sender_inclusive, p.sender);
+void CoronaServer::deliver(const std::vector<PendingDelivery>& items) {
+  for (const PendingDelivery& p : items) {
+    const Group* group = find_group(p.group);
+    if (group == nullptr) continue;  // deleted while its commit was in flight
+    std::vector<NodeId> recipients;
+    recipients.reserve(group->member_count());
+    for (const auto& [member, info] : group->members()) {
+      if (p.sender_inclusive || !(member == p.sender)) {
+        recipients.push_back(member);
       }
     }
-    return;
-  }
-  // One coalesced frame per client covering its whole run, in sequence
-  // order.  std::map keeps the per-client send order deterministic.
-  std::map<NodeId, std::vector<Message>> per_client;
-  for (PendingDelivery& p : items) {
-    Group* group = find_group(p.group);
-    if (group == nullptr) continue;
-    const Message out = make_deliver(p.group, p.rec);
-    for (const auto& [member, info] : group->members()) {
-      if (!p.sender_inclusive && member == p.sender) continue;
-      per_client[member].push_back(out);
-      ++stats_.deliveries_sent;
-      stats_.delivery_bytes += p.rec.data.size();
-    }
-  }
-  for (auto& [member, msgs] : per_client) {
-    if (config_.debug_drop_batch_tail && msgs.size() > 1) msgs.pop_back();
-    if (msgs.size() > 1) ++stats_.batch_frames_sent;
-    send_batch(member, msgs);
-  }
-}
-
-void CoronaServer::deliver_to_members(Group& group, const UpdateRecord& rec,
-                                      bool sender_inclusive, NodeId sender) {
-  const Message out = make_deliver(group.meta().id, rec);
-  if (config_.use_ip_multicast) {
-    std::vector<NodeId> recipients;
-    recipients.reserve(group.member_count());
-    for (const auto& [member, info] : group.members()) {
-      if (!sender_inclusive && member == sender) continue;
-      recipients.push_back(member);
-    }
-    multicast(recipients, out);
     stats_.deliveries_sent += recipients.size();
-    stats_.delivery_bytes += rec.data.size() * recipients.size();
-    return;
+    stats_.delivery_bytes += p.rec.data.size() * recipients.size();
+    Message out = make_deliver(p.group, p.rec);
+    if (config_.use_ip_multicast) {
+      // The one-to-many transport already coalesces the fan-out; batching
+      // frames on top buys nothing, so every record goes out on its own.
+      multicast(recipients, out);
+    } else {
+      outbox_.add(std::move(out), std::move(recipients));
+    }
   }
-  // Point-to-point fan-out of the one kDeliver: engines that serialize at
-  // the sender encode `out` once for all recipients instead of per member.
-  std::vector<NodeId> recipients;
-  recipients.reserve(group.member_count());
-  for (const auto& [member, info] : group.members()) {
-    if (!sender_inclusive && member == sender) continue;
-    recipients.push_back(member);
-  }
-  fanout(recipients, out);
-  stats_.deliveries_sent += recipients.size();
-  stats_.delivery_bytes += rec.data.size() * recipients.size();
+  stats_.batch_frames_sent += outbox_.ship(*this);
 }
 
 // ---------------------------------------------------------------------------
@@ -774,10 +648,8 @@ void CoronaServer::perform_reduction(Group& group, SeqNo upto) {
   // becomes the durable checkpoint.
   const std::size_t dropped = group.state().reduce_to(upto);
   if (dropped == 0) return;
-  if (config_.stateful) {
-    store_->install_checkpoint(group.meta().id, group.state().base_seq(),
-                               group.state().snapshot_at_base());
-  }
+  store_->install_checkpoint(group.meta().id, group.state().base_seq(),
+                             group.state().snapshot_at_base());
   ++stats_.reductions;
   stats_.records_dropped_by_reduction += dropped;
 }
@@ -790,6 +662,10 @@ void CoronaServer::handle_retransmit(NodeId from, const Message& m) {
   Group* group = find_group(m.group);
   if (group == nullptr) {
     send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
+    return;
+  }
+  if (!group->is_member(from)) {
+    send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
     return;
   }
   Message reply;
@@ -816,17 +692,18 @@ void CoronaServer::handle_resend_reply(NodeId from, const Message& m) {
   // Crash recovery (§6): updates lost with the unflushed log tail are
   // re-submitted by their original senders and sequenced afresh; the
   // (sender, request-id) dedup set recovered from the durable log keeps
-  // already-stable updates from being applied twice.
-  Group* group = find_group(m.group);
-  if (group == nullptr) return;
+  // already-stable updates from being applied twice.  A client resends only
+  // its own multicasts, so a record naming another sender is dropped.
+  const Group* group = find_group(m.group);
+  if (group == nullptr || !group->is_member(from)) return;
   for (const UpdateRecord& orig : m.updates) {
+    if (!(orig.sender == from)) continue;
     if (group->was_seen(orig.sender, orig.request_id)) continue;
-    if (!group->is_member(orig.sender)) continue;
     UpdateRecord rec = orig;
     rec.timestamp = now();
     ++stats_.resends_applied;
-    sequence_and_deliver(*group, std::move(rec), /*sender_inclusive=*/true,
-                         from);
+    drain_batch({PendingDelivery{m.group, std::move(rec),
+                                 /*sender_inclusive=*/true, from}});
   }
 }
 
@@ -866,7 +743,7 @@ void CoronaServer::drop_member_everywhere(NodeId who) {
   for (GroupId gid : to_erase) {
     groups_.erase(gid);
     reduction_.erase(gid);
-    if (config_.stateful) store_->remove_group(gid);
+    store_->remove_group(gid);
   }
 }
 

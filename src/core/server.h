@@ -9,14 +9,14 @@
 //   server-side timestamping), lock request/release, client-requested and
 //   policy-driven log reduction, gap retransmission, and recovery resends.
 //
-// Configuration covers the evaluation axes of §5: stateful vs stateless
-// operation (Figure 3), flush policy for the durable log (the §6 "logging is
-// off the critical path" claim), reduction policy, and the optional QoS
-// scheduler of §5.3.
+// Configuration covers the evaluation axes of §5: flush policy for the
+// durable log (the §6 "logging is off the critical path" claim), reduction
+// policy, batched fan-out, and the optional QoS scheduler of §5.3.  The
+// stateless curve of Figure 3 is StatelessServer (core/stateless_server.h).
 //
-// Deployment: a CoronaServer can serve clients directly (single-server
-// configuration) or sit behind the replicated service of src/replica/, which
-// embeds the same class per leaf.
+// Deployment: a CoronaServer serves its clients directly (the single-server
+// configuration).  Its per-group engine, Group (core/group.h), is the same
+// one the replicated service's coordinator runs (src/replica/).
 #pragma once
 
 #include <functional>
@@ -26,6 +26,7 @@
 
 #include "core/group.h"
 #include "core/log_reduction.h"
+#include "core/outbox.h"
 #include "core/qos_scheduler.h"
 #include "core/session_manager.h"
 #include "core/state_transfer.h"
@@ -58,11 +59,6 @@ enum class FlushPolicy {
 };
 
 struct ServerConfig {
-  // false reproduces the "stateless" curve of Figure 3: the server still
-  // sequences and multicasts but maintains no shared state and no log, and
-  // joins transfer nothing.
-  bool stateful = true;
-
   FlushPolicy flush = FlushPolicy::kAsync;
   Duration flush_interval = 100 * kMillisecond;
 
@@ -71,13 +67,6 @@ struct ServerConfig {
   // falls back to the service copy when no member can answer.
   JoinTransferMode join_transfer = JoinTransferMode::kService;
   Duration peer_timeout = 1 * kSecond;
-
-  // CPU charged per sequenced message for state maintenance (applying the
-  // message to the in-memory state and appending to the in-memory log).
-  // Constant per message + linear in payload — this is the overhead Figure 3
-  // shows to be negligible next to the N point-to-point sends.
-  Duration state_cpu_per_msg = 20;       // us
-  double state_cpu_per_byte = 0.02;      // us/byte
 
   // Per-group reduction policy factory (default: never reduce).
   std::function<std::unique_ptr<ReductionPolicy>()> reduction_factory;
@@ -100,16 +89,16 @@ struct ServerConfig {
   // 0 disables the sweep (clients only leave explicitly).
   Duration client_timeout = 0;
 
-  // Batched fan-out & group commit.  When batch_max_msgs > 1, incoming
-  // multicasts queue at the server and are sequenced as a batch: the queue
-  // drains when it reaches batch_max_msgs or batch_max_delay after the first
-  // queued message, whichever comes first.  The whole batch is covered by a
+  // Batched fan-out & group commit.  Incoming multicasts queue at the
+  // server and are sequenced as a batch: the queue drains when it reaches
+  // batch_max_msgs or batch_max_delay after the first queued message,
+  // whichever comes first (core/outbox.h).  The whole batch is covered by a
   // single log flush (group commit) under FlushPolicy::kSync, and each
   // client receives one coalesced frame per drain instead of one frame per
   // message.  Sequencing order is arrival order and each record's timestamp
   // is stamped at arrival, so per-client delivery streams are byte-identical
-  // to the unbatched path.  batch_max_msgs <= 1 keeps today's per-message
-  // path exactly.
+  // whatever the batch size.  batch_max_msgs <= 1 drains every multicast on
+  // arrival, as a batch of one.
   std::size_t batch_max_msgs = 1;
   Duration batch_max_delay = 0;
 
@@ -175,8 +164,6 @@ class CoronaServer : public Node {
   void set_group_qos_class(GroupId g, int klass);
 
  private:
-  friend class ReplicaServer;  // the replicated leaf reuses group handling
-
   // -- request handlers ------------------------------------------------------
   void handle_create(NodeId from, const Message& m);
   void handle_delete(NodeId from, const Message& m);
@@ -209,27 +196,13 @@ class CoronaServer : public Node {
 
   Group* find_group(GroupId g);
   Status authorize(NodeId client, GroupId g, GroupAction action);
-  // Sequences `rec` only: allocates the seq, marks the dedup set, charges
-  // state CPU, applies to shared state and appends to the log.  Shared by
-  // the per-message and batched paths so both produce identical records.
-  CORONA_HOT_PATH void sequence_record(Group& group, UpdateRecord& rec);
-  // Sequences `rec` into `group`, applies it to state + log, charges CPU.
-  // Delivery is immediate (kNone/kAsync) or deferred behind the disk (kSync).
-  CORONA_HOT_PATH void sequence_and_deliver(Group& group, UpdateRecord rec,
-                                            bool sender_inclusive,
-                                            NodeId sender);
-  CORONA_HOT_PATH void deliver_to_members(Group& group,
-                                          const UpdateRecord& rec,
-                                          bool sender_inclusive,
-                                          NodeId sender);
-  // Queues a validated multicast on the batch queue; drains at threshold.
-  CORONA_HOT_PATH void enqueue_batch(PendingDelivery p);
-  // Sequences every queued multicast in arrival order, covers the run with
-  // one group commit (kSync), and fans out coalesced per-client frames.
-  CORONA_HOT_PATH void drain_batch();
-  // Fans out a run of already-sequenced records, one coalesced frame per
-  // client.  A single-record run degenerates to deliver_to_members.
-  CORONA_HOT_PATH void fanout_batch(std::vector<PendingDelivery>& items);
+  // Sequences `batch` in arrival order, covers it with one group commit
+  // (kSync), and fans it out; delivery is immediate (kNone/kAsync) or
+  // deferred behind the disk (kSync).  The per-message path is a batch of
+  // one.
+  CORONA_HOT_PATH void drain_batch(std::vector<PendingDelivery> batch);
+  // Fans out already-sequenced records through the outbox.
+  CORONA_HOT_PATH void deliver(const std::vector<PendingDelivery>& items);
   void send_membership_notices(Group& group, NodeId subject, MemberRole role,
                                bool joined);
   void perform_reduction(Group& group, SeqNo upto);
@@ -258,9 +231,9 @@ class CoronaServer : public Node {
   std::map<std::uint64_t, std::vector<PendingDelivery>> pending_sync_;
   std::uint64_t next_pending_ = 1;
 
-  // Batch queue (config_.batch_max_msgs > 1 only).
+  // Multicasts awaiting the next drain; the outbox's window times the drain.
   std::vector<PendingDelivery> batch_queue_;
-  TimerHandle batch_timer_ = 0;
+  Outbox outbox_;
 
   struct PendingPeerJoin {
     GroupId group;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace corona {
 
-void SharedState::load(SeqNo base_seq, const std::vector<StateEntry>& snapshot) {
+void SharedState::load(SeqNo base_seq, const std::vector<StateEntry>& snapshot,
+                       const std::vector<UpdateRecord>& updates) {
   objects_.clear();
   base_objects_.clear();
   history_.clear();
@@ -19,6 +21,7 @@ void SharedState::load(SeqNo base_seq, const std::vector<StateEntry>& snapshot) 
     base_objects_[s.object] = s.data;
   }
   CORONA_CHECK_INVARIANTS(*this);
+  for (const UpdateRecord& u : updates) apply(u);
 }
 
 void SharedState::apply_to(std::map<ObjectId, Bytes>& objects,
@@ -94,6 +97,14 @@ std::vector<UpdateRecord> SharedState::since(SeqNo after) const {
   return out;
 }
 
+SeqNo SharedState::first_gap() const {
+  SeqNo expect = base_seq_;
+  for (const UpdateRecord& r : history_) {
+    if (r.seq != ++expect) return expect;
+  }
+  return 0;
+}
+
 const Bytes* SharedState::object(ObjectId id) const {
   auto it = objects_.find(id);
   return it != objects_.end() ? &it->second : nullptr;
@@ -148,6 +159,13 @@ InvariantReport SharedState::check_invariants() const {
              " != recomputed " + std::to_string(obj_bytes));
   }
   return rep;
+}
+
+Duration apply_cpu_cost(const UpdateRecord& rec) {
+  constexpr Duration kPerMessage = 20;  // us
+  constexpr double kPerByte = 0.02;     // us
+  return kPerMessage + static_cast<Duration>(std::llround(
+                           kPerByte * static_cast<double>(rec.data.size())));
 }
 
 std::vector<StateEntry> SharedState::snapshot_at_base() const {

@@ -30,6 +30,7 @@
 #include "util/context.h"
 #include "util/ids.h"
 #include "util/invariant.h"
+#include "util/time.h"
 
 namespace corona {
 
@@ -37,8 +38,10 @@ class SharedState {
  public:
   SharedState() = default;
 
-  // Installs an initial snapshot (group creation or recovery).
-  void load(SeqNo base_seq, const std::vector<StateEntry>& snapshot);
+  // Installs a snapshot at `base_seq` and replays `updates` over it: group
+  // creation, recovery from the durable log, and state-transfer installs.
+  void load(SeqNo base_seq, const std::vector<StateEntry>& snapshot,
+            const std::vector<UpdateRecord>& updates = {});
 
   // Applies one sequenced state message.  Records must arrive in sequence
   // order; `rec.seq` must exceed head_seq().
@@ -74,6 +77,10 @@ class SharedState {
   std::size_t history_size() const { return history_.size(); }
   std::uint64_t history_bytes() const { return history_bytes_; }
   std::uint64_t state_bytes() const { return state_bytes_; }
+  // The lowest seq in (base_seq, head_seq] missing from the retained
+  // history, or 0 if there is none.  A sequencer's copy is always gapless;
+  // client copies may hold object-filtered tails (see check_invariants).
+  SeqNo first_gap() const;
 
   // -- log reduction (paper §3.2) ---------------------------------------------
   // Drops history records with seq <= upto; the consolidated objects become
@@ -102,5 +109,11 @@ class SharedState {
   std::uint64_t history_bytes_ = 0;
   std::uint64_t state_bytes_ = 0;
 };
+
+// CPU charged for applying one record to a group's in-memory state and log:
+// constant per message plus linear in payload, the state-maintenance
+// overhead Figure 3 shows to be negligible next to the N point-to-point
+// sends.  Every server role that applies a record charges it.
+Duration apply_cpu_cost(const UpdateRecord& rec);
 
 }  // namespace corona

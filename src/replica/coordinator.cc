@@ -2,51 +2,15 @@
 // protocol overview and replica_server.cc for the leaf side.
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "replica/coordinator.h"
 #include "util/logging.h"
 
 namespace corona {
 
-ReplicaServer::CoordGroup* ReplicaServer::coord_find(GroupId g) {
+Group* ReplicaServer::coord_find(GroupId g) {
   auto it = cgroups_.find(g);
   return it != cgroups_.end() ? &it->second : nullptr;
-}
-
-InvariantReport ReplicaServer::CoordGroup::check_invariants() const {
-  InvariantReport rep;
-  rep.merge(state.check_invariants());
-  rep.merge(locks.check_invariants());
-  if (next_seq != state.head_seq() + 1) {
-    rep.fail("CoordGroup: next_seq " + std::to_string(next_seq) +
-             " != head_seq+1 " + std::to_string(state.head_seq() + 1));
-  }
-  // The authoritative copy applies every sequenced record, so its retained
-  // history is gapless over (base_seq, head_seq] — unlike client copies,
-  // which may hold object-filtered tails.
-  SeqNo expect = state.base_seq();
-  for (const UpdateRecord& r : state.history()) {
-    ++expect;
-    if (r.seq != expect) {
-      rep.fail("CoordGroup: history gap — expected seq " +
-               std::to_string(expect) + ", found " + std::to_string(r.seq));
-      expect = r.seq;
-    }
-  }
-  for (const auto& [obj, node] : locks.all_holders()) {
-    if (!members.contains(node)) {
-      rep.fail("CoordGroup: lock holder node:" + std::to_string(node.value) +
-               " for obj:" + std::to_string(obj.value) + " is not a member");
-    }
-  }
-  for (const auto& [obj, node] : locks.all_waiters()) {
-    if (!members.contains(node)) {
-      rep.fail("CoordGroup: lock waiter node:" + std::to_string(node.value) +
-               " for obj:" + std::to_string(obj.value) + " is not a member");
-    }
-  }
-  return rep;
 }
 
 void ReplicaServer::become_coordinator(std::uint64_t term) {
@@ -75,20 +39,13 @@ void ReplicaServer::become_coordinator(std::uint64_t term) {
   // the other leaves').
   for (const auto& [g, lg] : local_) {
     if (cgroups_.contains(g)) continue;
-    CoordGroup cg;
-    cg.meta = lg.meta;
-    cg.state = lg.state;
-    cg.next_seq = lg.state.head_seq() + 1;
-    // Seed the resend-dedup set from the retained history so client
-    // recovery resends of already-sequenced updates are not applied twice.
-    for (const UpdateRecord& u : lg.state.history()) {
-      cg.seen.emplace(u.sender.value, u.request_id);
-    }
-    CORONA_CHECK_INVARIANTS(cg);
-    cgroups_.emplace(g, std::move(cg));
-    if (!store_->has_group(g)) {
-      store_->create_group(local_.at(g).meta, lg.state.snapshot_at_base());
-    }
+    // Restoring from the retained history also seeds the resend-dedup set,
+    // so client recovery resends of already-sequenced updates are not
+    // applied twice.
+    Group& cg = cgroups_.emplace(g, Group(lg.meta)).first->second;
+    cg.restore(lg.state.base_seq(), lg.state.snapshot_at_base(),
+               lg.state.history());
+    coord_persist_create(cg);
     repl_.add_backup(g, id());
     for (const auto& [client, info] : lg.local_members) {
       Message op;
@@ -108,22 +65,12 @@ void ReplicaServer::become_coordinator(std::uint64_t term) {
   // come back with their checkpoint + flushed log (§3.1 persistence across
   // service restarts).  Transient groups died with their members and are
   // not resurrected.
-  for (RecoveredGroup& rg : store_->recover()) {
+  for (const RecoveredGroup& rg : store_->recover()) {
     if (cgroups_.contains(rg.meta.id) || !rg.meta.persistent) continue;
-    CoordGroup cg;
-    cg.meta = rg.meta;
-    cg.state.load(rg.base_seq, rg.snapshot);
-    SeqNo head = rg.base_seq;
-    for (const UpdateRecord& u : rg.updates) {
-      cg.state.apply(u);
-      cg.seen.emplace(u.sender.value, u.request_id);
-      head = u.seq;
-    }
-    cg.next_seq = head + 1;
-    CORONA_CHECK_INVARIANTS(cg);
+    Group& cg = cgroups_.emplace(rg.meta.id, Group(rg.meta)).first->second;
+    cg.restore(rg.base_seq, rg.snapshot, rg.updates);
     LOG_INFO("replica", "coordinator recovered ", rg.meta.id,
-             " head=", head);
-    cgroups_.emplace(rg.meta.id, std::move(cg));
+             " head=", cg.state().head_seq());
   }
 
   collecting_hellos_ = true;
@@ -165,12 +112,12 @@ void ReplicaServer::coord_drop_server(NodeId leaf) {
   // a fail-stop server); drop them and notify survivors.
   for (auto& [g, cg] : cgroups_) {
     std::vector<NodeId> lost;
-    for (const auto& [client, info] : cg.members) {
+    for (const auto& [client, info] : cg.members()) {
       if (info.leaf == leaf) lost.push_back(client);
     }
     for (NodeId client : lost) {
-      cg.members.erase(client);
-      for (auto& [obj, grantee] : cg.locks.drop_member(client)) {
+      cg.remove_member(client);
+      for (auto& [obj, grantee] : cg.locks().drop_member(client)) {
         coord_route_lock_grant(g, obj, grantee);
       }
       coord_send_notice(cg, client, MemberRole::kPrincipal, /*joined=*/false);
@@ -205,7 +152,7 @@ void ReplicaServer::coord_handle_hello(NodeId from, const Message& m) {
 
 void ReplicaServer::coord_handle_fwd_multicast(NodeId from, const Message& m) {
   if (!is_coordinator()) return;  // stale routing during an election
-  CoordGroup* cg = coord_find(m.group);
+  Group* cg = coord_find(m.group);
   if (cg == nullptr) {
     if (collecting_hellos_ || pending_fwd_.contains(m.group)) {
       // Takeover in progress: hold until the group's state is pulled.
@@ -215,7 +162,7 @@ void ReplicaServer::coord_handle_fwd_multicast(NodeId from, const Message& m) {
     coord_send_result(from, m, Status::error(Errc::kNotFound));
     return;
   }
-  if (!cg->members.contains(m.sender)) {
+  if (!cg->is_member(m.sender)) {
     coord_send_result(from, m, Status::error(Errc::kNotMember));
     return;
   }
@@ -226,73 +173,38 @@ void ReplicaServer::coord_handle_fwd_multicast(NodeId from, const Message& m) {
   rec.sender = m.sender;
   rec.timestamp = now();  // sequencer timestamping
   rec.request_id = m.request_id;
-  coord_sequence(*cg, std::move(rec), m.sender_inclusive, from);
+  coord_sequence(*cg, std::move(rec), m.sender_inclusive);
 }
 
-void ReplicaServer::coord_sequence(CoordGroup& cg, UpdateRecord rec,
-                                   bool sender_inclusive, NodeId origin_leaf) {
-  (void)origin_leaf;
-  rec.seq = cg.next_seq++;
-  cg.seen.emplace(rec.sender.value, rec.request_id);
+void ReplicaServer::coord_sequence(Group& cg, UpdateRecord rec,
+                                   bool sender_inclusive) {
+  cg.sequence(rec, store_);
   ++stats_.sequenced;
+  rt().charge_cpu(id(), apply_cpu_cost(rec));
 
-  rt().charge_cpu(id(), cfg_.state_cpu_per_msg +
-                            static_cast<Duration>(std::llround(
-                                cfg_.state_cpu_per_byte *
-                                static_cast<double>(rec.data.size()))));
-  cg.state.apply(rec);
-  store_->append_update(cg.meta.id, rec);
-
+  // The sequencing decision is final and immediate (seq, state, log and
+  // timestamp are all per-message); only the outbound frames coalesce, one
+  // run per holder leaf.
   Message out;
   out.type = MsgType::kSeqMulticast;
-  out.group = cg.meta.id;
+  out.group = cg.meta().id;
   out.seq = rec.seq;
   out.kind = rec.kind;
   out.object = rec.object;
-  out.payload = rec.data;
+  out.payload = std::move(rec.data);
   out.sender = rec.sender;
   out.timestamp = rec.timestamp;
   out.request_id = rec.request_id;
   out.sender_inclusive = sender_inclusive;
-  if (cfg_.batch_max_msgs > 1) {
-    // Batched fan-out: the sequencing decision above is final and immediate
-    // (seq, state, log, timestamp all per-message); only the outbound frames
-    // coalesce.  Each leaf's run flushes as one frame at the threshold or
-    // after batch_max_delay.
-    for (NodeId holder : repl_.holders(cg.meta.id)) {
-      coord_outbox_[holder].push_back(out);
-    }
-    ++coord_outbox_msgs_;
-    if (coord_outbox_msgs_ >= cfg_.batch_max_msgs) {
-      if (coord_batch_timer_ != 0) {
-        cancel_timer(coord_batch_timer_);
-        coord_batch_timer_ = 0;
-      }
-      coord_flush_outbox();
-    } else if (coord_batch_timer_ == 0) {
-      coord_batch_timer_ = set_timer(cfg_.batch_max_delay, kCoordBatchTimer);
-    }
-  } else {
-    for (NodeId holder : repl_.holders(cg.meta.id)) {
-      send(holder, out);
-    }
+  to_leaves_.add(std::move(out), repl_.holders(cg.meta().id));
+  if (to_leaves_.full(*this, to_leaves_.size())) {
+    stats_.seq_batch_frames += to_leaves_.ship(*this);
   }
   CORONA_CHECK_INVARIANTS(cg);
 }
 
-void ReplicaServer::coord_flush_outbox() {
-  coord_outbox_msgs_ = 0;
-  if (coord_outbox_.empty()) return;
-  auto outbox = std::move(coord_outbox_);
-  coord_outbox_.clear();
-  for (auto& [leaf, msgs] : outbox) {
-    if (msgs.size() > 1) ++stats_.seq_batch_frames;
-    send_batch(leaf, msgs);
-  }
-}
-
-void ReplicaServer::coord_handle_resend(NodeId from, const Message& m) {
-  CoordGroup* cg = coord_find(m.group);
+void ReplicaServer::coord_handle_resend(const Message& m) {
+  Group* cg = coord_find(m.group);
   if (cg == nullptr) {
     if (collecting_hellos_ || pending_fwd_.contains(m.group)) {
       pending_fwd_[m.group].push_back(m);
@@ -300,11 +212,11 @@ void ReplicaServer::coord_handle_resend(NodeId from, const Message& m) {
     return;
   }
   for (const UpdateRecord& orig : m.updates) {
-    if (cg->seen.contains({orig.sender.value, orig.request_id})) continue;
-    if (!cg->members.contains(orig.sender)) continue;
+    if (cg->was_seen(orig.sender, orig.request_id)) continue;
+    if (!cg->is_member(orig.sender)) continue;
     UpdateRecord rec = orig;
     rec.timestamp = now();
-    coord_sequence(*cg, std::move(rec), /*sender_inclusive=*/true, from);
+    coord_sequence(*cg, std::move(rec), /*sender_inclusive=*/true);
   }
 }
 
@@ -359,9 +271,9 @@ void ReplicaServer::coord_handle_group_op(NodeId from, const Message& m) {
   }
 }
 
-void ReplicaServer::coord_persist_create(const CoordGroup& cg) {
-  if (!store_->has_group(cg.meta.id)) {
-    store_->create_group(cg.meta, cg.state.snapshot_at_base());
+void ReplicaServer::coord_persist_create(const Group& cg) {
+  if (!store_->has_group(cg.meta().id)) {
+    store_->create_group(cg.meta(), cg.state().snapshot_at_base());
   }
 }
 
@@ -370,17 +282,15 @@ void ReplicaServer::coord_op_create(NodeId leaf, const Message& m) {
     coord_send_result(leaf, m, Status::error(Errc::kAlreadyExists));
     return;
   }
-  CoordGroup cg;
-  cg.meta = GroupMeta{m.group, m.text, m.persistent};
-  cg.state.load(0, m.state);
+  Group cg(GroupMeta{m.group, m.text, m.persistent});
+  cg.state().load(0, m.state);
   coord_persist_create(cg);
   cgroups_.emplace(m.group, std::move(cg));
   coord_send_result(leaf, m, Status::ok());
 }
 
 void ReplicaServer::coord_op_delete(NodeId leaf, const Message& m) {
-  CoordGroup* cg = coord_find(m.group);
-  if (cg == nullptr) {
+  if (coord_find(m.group) == nullptr) {
     coord_send_result(leaf, m, Status::error(Errc::kNotFound));
     return;
   }
@@ -395,13 +305,13 @@ void ReplicaServer::coord_op_delete(NodeId leaf, const Message& m) {
 }
 
 void ReplicaServer::coord_op_join(NodeId leaf, const Message& m) {
-  CoordGroup* cg = coord_find(m.group);
+  Group* cg = coord_find(m.group);
   if (cg == nullptr) {
     coord_send_result(leaf, m, Status::error(Errc::kNotFound));
     return;
   }
   const bool silent = m.sender_inclusive;  // takeover re-registration
-  cg->members[m.sender] = CoordMemberInfo{leaf, m.role, m.notify_membership};
+  cg->set_member(m.sender, Member{m.role, m.notify_membership, leaf});
   repl_.add_supporting_server(m.group, leaf);
   coord_maybe_assign_backup(m.group);
   if (!silent) {
@@ -411,13 +321,13 @@ void ReplicaServer::coord_op_join(NodeId leaf, const Message& m) {
 }
 
 void ReplicaServer::coord_op_leave(NodeId leaf, const Message& m) {
-  CoordGroup* cg = coord_find(m.group);
+  Group* cg = coord_find(m.group);
   if (cg == nullptr) {
     coord_send_result(leaf, m, Status::error(Errc::kNotFound));
     return;
   }
-  cg->members.erase(m.sender);
-  for (auto& [obj, grantee] : cg->locks.drop_member(m.sender)) {
+  cg->remove_member(m.sender);
+  for (auto& [obj, grantee] : cg->locks().drop_member(m.sender)) {
     coord_route_lock_grant(m.group, obj, grantee);
   }
   coord_send_notice(*cg, m.sender, m.role, /*joined=*/false);
@@ -425,7 +335,7 @@ void ReplicaServer::coord_op_leave(NodeId leaf, const Message& m) {
 
   // Does the leaf still support members of this group?
   bool still_supports = false;
-  for (const auto& [client, info] : cg->members) {
+  for (const auto& [client, info] : cg->members()) {
     if (info.leaf == leaf) {
       still_supports = true;
       break;
@@ -448,7 +358,7 @@ void ReplicaServer::coord_op_leave(NodeId leaf, const Message& m) {
   }
 
   // Persistent groups outlive null membership; transient ones die (§3.1).
-  if (cg->members.empty() && !cg->meta.persistent) {
+  if (cg->member_count() == 0 && !cg->persistent()) {
     Message note;
     note.type = MsgType::kGroupDeleted;
     note.group = m.group;
@@ -459,15 +369,15 @@ void ReplicaServer::coord_op_leave(NodeId leaf, const Message& m) {
   }
 }
 
-void ReplicaServer::coord_send_notice(CoordGroup& cg, NodeId subject,
+void ReplicaServer::coord_send_notice(const Group& cg, NodeId subject,
                                       MemberRole role, bool joined) {
   Message note;
   note.type = MsgType::kMembershipNotice;
-  note.group = cg.meta.id;
+  note.group = cg.meta().id;
   note.sender = subject;
   note.role = role;
   note.accept = joined;
-  for (NodeId holder : repl_.holders(cg.meta.id)) send(holder, note);
+  for (NodeId holder : repl_.holders(cg.meta().id)) send(holder, note);
 }
 
 void ReplicaServer::coord_maybe_assign_backup(GroupId g) {
@@ -504,10 +414,10 @@ void ReplicaServer::coord_maybe_assign_backup(GroupId g) {
 
 void ReplicaServer::coord_route_lock_grant(GroupId g, ObjectId obj,
                                            NodeId client) {
-  CoordGroup* cg = coord_find(g);
+  const Group* cg = coord_find(g);
   if (cg == nullptr) return;
-  auto it = cg->members.find(client);
-  if (it == cg->members.end()) return;
+  auto it = cg->members().find(client);
+  if (it == cg->members().end()) return;
   Message r;
   r.type = MsgType::kGroupOpResult;
   r.fwd_type = MsgType::kLockGrant;
@@ -518,12 +428,12 @@ void ReplicaServer::coord_route_lock_grant(GroupId g, ObjectId obj,
 }
 
 void ReplicaServer::coord_op_lock(NodeId leaf, const Message& m) {
-  CoordGroup* cg = coord_find(m.group);
-  if (cg == nullptr || !cg->members.contains(m.sender)) {
+  Group* cg = coord_find(m.group);
+  if (cg == nullptr || !cg->is_member(m.sender)) {
     coord_send_result(leaf, m, Status::error(Errc::kNotMember));
     return;
   }
-  const auto outcome = cg->locks.acquire(m.object, m.sender);
+  const auto outcome = cg->locks().acquire(m.object, m.sender);
   if (outcome == LockTable::AcquireOutcome::kGranted) {
     Message r;
     r.type = MsgType::kGroupOpResult;
@@ -539,12 +449,12 @@ void ReplicaServer::coord_op_lock(NodeId leaf, const Message& m) {
 }
 
 void ReplicaServer::coord_op_unlock(NodeId leaf, const Message& m) {
-  CoordGroup* cg = coord_find(m.group);
+  Group* cg = coord_find(m.group);
   if (cg == nullptr) {
     coord_send_result(leaf, m, Status::error(Errc::kNotFound));
     return;
   }
-  auto result = cg->locks.release(m.object, m.sender);
+  auto result = cg->locks().release(m.object, m.sender);
   if (!result) {
     coord_send_result(leaf, m, result.status());
     return;
@@ -560,26 +470,26 @@ void ReplicaServer::coord_op_unlock(NodeId leaf, const Message& m) {
 // ---------------------------------------------------------------------------
 
 void ReplicaServer::coord_op_reduce(NodeId leaf, const Message& m) {
-  CoordGroup* cg = coord_find(m.group);
+  Group* cg = coord_find(m.group);
   if (cg == nullptr) {
     coord_send_result(leaf, m, Status::error(Errc::kNotFound));
     return;
   }
-  const SeqNo upto = m.seq == 0 ? cg->state.head_seq() : m.seq;
-  cg->state.reduce_to(upto);
-  store_->install_checkpoint(m.group, cg->state.base_seq(),
-                             cg->state.snapshot_at_base());
+  SharedState& st = cg->state();
+  const SeqNo upto = m.seq == 0 ? st.head_seq() : m.seq;
+  st.reduce_to(upto);
+  store_->install_checkpoint(m.group, st.base_seq(), st.snapshot_at_base());
   Message done;
   done.type = MsgType::kLogReduced;
   done.group = m.group;
-  done.seq = cg->state.base_seq();
+  done.seq = st.base_seq();
   for (NodeId holder : repl_.holders(m.group)) send(holder, done);
 
   Message r;
   r.type = MsgType::kGroupOpResult;
   r.fwd_type = MsgType::kReduceLog;
   r.group = m.group;
-  r.seq = cg->state.base_seq();
+  r.seq = st.base_seq();
   r.sender = m.sender;
   r.request_id = m.request_id;
   send(leaf, r);
@@ -590,7 +500,7 @@ void ReplicaServer::coord_op_reduce(NodeId leaf, const Message& m) {
 // ---------------------------------------------------------------------------
 
 void ReplicaServer::coord_handle_state_query(NodeId from, const Message& m) {
-  CoordGroup* cg = coord_find(m.group);
+  const Group* cg = coord_find(m.group);
   Message reply;
   reply.type = MsgType::kStateReply;
   reply.group = m.group;
@@ -600,14 +510,14 @@ void ReplicaServer::coord_handle_state_query(NodeId from, const Message& m) {
     send(from, reply);
     return;
   }
+  const SharedState& st = cg->state();
   if (m.type == MsgType::kRetransmitReq) {
-    const SharedState& st = cg->state;
     if (m.seq <= st.base_seq() && st.base_seq() > 0) {
       reply.seq = st.base_seq();
       reply.state = st.snapshot_at_base();
       reply.updates = st.history();
-      reply.text = cg->meta.name;
-      reply.persistent = cg->meta.persistent;
+      reply.text = cg->meta().name;
+      reply.persistent = cg->meta().persistent;
     } else {
       reply.seq = st.base_seq();
       for (const UpdateRecord& u : st.since(m.seq - 1)) {
@@ -620,11 +530,11 @@ void ReplicaServer::coord_handle_state_query(NodeId from, const Message& m) {
   }
   // Full-fidelity install for a leaf that will support the group: base
   // snapshot plus retained history, so the leaf can serve last-n joins.
-  reply.seq = cg->state.base_seq();
-  reply.state = cg->state.snapshot_at_base();
-  reply.updates = cg->state.history();
-  reply.text = cg->meta.name;
-  reply.persistent = cg->meta.persistent;
+  reply.seq = st.base_seq();
+  reply.state = st.snapshot_at_base();
+  reply.updates = st.history();
+  reply.text = cg->meta().name;
+  reply.persistent = cg->meta().persistent;
   // The asking leaf becomes a copy holder right away so no sequenced
   // multicast is skipped between this reply and the member's join op.
   repl_.add_backup(m.group, from);
@@ -639,7 +549,7 @@ void ReplicaServer::coord_begin_takeover() {
   collecting_hellos_ = false;
   std::map<GroupId, SeqNo> local_heads;
   for (const auto& [g, cg] : cgroups_) {
-    local_heads.emplace(g, cg.state.head_seq());
+    local_heads.emplace(g, cg.state().head_seq());
   }
   const auto plan = plan_takeover(hello_reports_, local_heads);
   // Operations queued for groups no surviving server knows about are
@@ -675,15 +585,8 @@ void ReplicaServer::coord_handle_takeover_state(NodeId from, const Message& m) {
     pending_fwd_.erase(m.group);
     return;
   }
-  CoordGroup cg;
-  cg.meta = GroupMeta{m.group, m.text, m.persistent};
-  cg.state.load(m.seq, m.state);
-  for (const UpdateRecord& u : m.updates) {
-    cg.state.apply(u);
-    cg.seen.emplace(u.sender.value, u.request_id);
-  }
-  cg.next_seq = cg.state.head_seq() + 1;
-  CORONA_CHECK_INVARIANTS(cg);
+  Group cg(GroupMeta{m.group, m.text, m.persistent});
+  cg.restore(m.seq, m.state, m.updates);
   coord_persist_create(cg);
   cgroups_.insert_or_assign(m.group, std::move(cg));
   coord_finish_takeover();
@@ -709,7 +612,7 @@ void ReplicaServer::coord_finish_takeover() {
           coord_handle_group_op(m.origin_server, m);
           break;
         case MsgType::kResendReply:
-          coord_handle_resend(m.origin_server, m);
+          coord_handle_resend(m);
           break;
         default:
           break;
@@ -752,16 +655,16 @@ void ReplicaServer::coord_handle_digest_request(NodeId from, const Message& m) {
     Message reply;
     reply.type = MsgType::kDigestReply;
     reply.group = g;
-    reply.seq = cg.state.base_seq();
-    reply.text = cg.meta.name;
-    reply.persistent = cg.meta.persistent;
-    const BranchDigest digest = make_branch_digest(cg.state);
+    reply.seq = cg.state().base_seq();
+    reply.text = cg.meta().name;
+    reply.persistent = cg.meta().persistent;
+    const BranchDigest digest = make_branch_digest(cg.state());
     for (const auto& [seq, hash] : digest.entries) {
       reply.u64s.push_back(seq);
       reply.u64s.push_back(hash);
     }
-    reply.state = cg.state.snapshot_at_base();
-    reply.updates = cg.state.history();
+    reply.state = cg.state().snapshot_at_base();
+    reply.updates = cg.state().history();
     send(from, reply);
   }
   Message sentinel;
@@ -779,19 +682,12 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
     return;
   }
 
-  CoordGroup* mine = coord_find(m.group);
+  Group* mine = coord_find(m.group);
   if (mine == nullptr) {
     // The group only exists on the other side (created during the
     // partition): adopt it wholesale, no conflict.
-    CoordGroup cg;
-    cg.meta = GroupMeta{m.group, m.text, m.persistent};
-    cg.state.load(m.seq, m.state);
-    for (const UpdateRecord& u : m.updates) {
-      cg.state.apply(u);
-      cg.seen.emplace(u.sender.value, u.request_id);
-    }
-    cg.next_seq = cg.state.head_seq() + 1;
-    CORONA_CHECK_INVARIANTS(cg);
+    Group cg(GroupMeta{m.group, m.text, m.persistent});
+    cg.restore(m.seq, m.state, m.updates);
     coord_persist_create(cg);
     cgroups_.emplace(m.group, std::move(cg));
     ++stats_.reconciled_groups;
@@ -805,7 +701,7 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
   for (std::size_t i = 0; i + 1 < m.u64s.size(); i += 2) {
     theirs.entries.emplace_back(m.u64s[i], m.u64s[i + 1]);
   }
-  const BranchDigest ours = make_branch_digest(mine->state);
+  const BranchDigest ours = make_branch_digest(mine->state());
   const auto fork = find_fork_point(ours, theirs);
   // If no fork point is certifiable (reduction trimmed one side beyond the
   // other), fall back to keeping the primary branch untouched.
@@ -815,7 +711,7 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
     return;
   }
 
-  Branch branch_a = extract_branch(mine->state, *fork);
+  Branch branch_a = extract_branch(mine->state(), *fork);
   Branch branch_b;
   for (const UpdateRecord& u : m.updates) {
     if (u.seq > *fork) branch_b.updates.push_back(u);
@@ -835,18 +731,10 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
   if (outcome.split_group) {
     // The secondary branch evolves as a new group seeded with the state at
     // the fork plus its own tail (§4.2 "evolving as two different groups").
-    CoordGroup split;
-    split.meta = GroupMeta{*outcome.split_group, mine->meta.name + "/split",
-                           mine->meta.persistent};
-    SharedState at_fork = state_at(cgroups_.at(m.group).state, *fork);
-    split.state.load(*fork, at_fork.snapshot());
-    SeqNo seq = *fork;
-    for (UpdateRecord u : outcome.split_tail) {
-      u.seq = ++seq;
-      split.seen.emplace(u.sender.value, u.request_id);
-      split.state.apply(u);
-    }
-    split.next_seq = seq + 1;
+    Group split(GroupMeta{*outcome.split_group, mine->meta().name + "/split",
+                          mine->meta().persistent});
+    split.restore(*fork, state_at(mine->state(), *fork).snapshot(), {});
+    for (UpdateRecord& u : outcome.split_tail) split.sequence(u, nullptr);
     coord_persist_create(split);
     cgroups_.insert_or_assign(*outcome.split_group, std::move(split));
     coord_push_group_state(*outcome.split_group);
@@ -857,81 +745,59 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
 
 void ReplicaServer::coord_install_merged(GroupId g, SeqNo fork,
                                          std::vector<UpdateRecord> tail) {
-  CoordGroup& cg = cgroups_.at(g);
-  SharedState merged = state_at(cg.state, fork);
-  SeqNo seq = fork;
-  for (UpdateRecord u : tail) {
-    u.seq = ++seq;  // re-sequence the surviving branch after the fork
-    cg.seen.emplace(u.sender.value, u.request_id);
-    merged.apply(u);
-  }
-  cg.state = std::move(merged);
-  cg.next_seq = seq + 1;
+  // Rewind to the fork and re-sequence the surviving branch after it.
+  Group& cg = cgroups_.at(g);
+  cg.state() = state_at(cg.state(), fork);
+  cg.set_next_seq(fork + 1);
+  for (UpdateRecord& u : tail) cg.sequence(u, nullptr);
   CORONA_CHECK_INVARIANTS(cg);
-  store_->install_checkpoint(g, cg.state.base_seq(),
-                             cg.state.snapshot_at_base());
+  store_->install_checkpoint(g, cg.state().base_seq(),
+                             cg.state().snapshot_at_base());
 }
 
 void ReplicaServer::coord_push_group_state(GroupId g) {
-  CoordGroup& cg = cgroups_.at(g);
+  const Group& cg = cgroups_.at(g);
   Message push;
   push.type = MsgType::kStateReply;
   push.accept = true;  // authoritative push: receivers reload
   push.group = g;
-  push.seq = cg.state.base_seq();
-  push.state = cg.state.snapshot_at_base();
-  push.updates = cg.state.history();
-  push.text = cg.meta.name;
-  push.persistent = cg.meta.persistent;
+  push.seq = cg.state().base_seq();
+  push.state = cg.state().snapshot_at_base();
+  push.updates = cg.state().history();
+  push.text = cg.meta().name;
+  push.persistent = cg.meta().persistent;
   for (NodeId holder : repl_.holders(g)) {
     if (!(holder == id())) send(holder, push);
   }
   // The other coordinator reloads too and relays to its own holders.
   if (reconcile_.active) send(reconcile_.other, push);
   // This node's own leaf copy.
-  if (local_.contains(g)) {
-    auto& lg = local_.at(g);
-    auto members = std::move(lg.local_members);
-    auto global = std::move(lg.global_members);
-    leaf_install_state(g, push);
-    LocalGroup& fresh = local_.at(g);
-    fresh.local_members = std::move(members);
-    fresh.global_members = std::move(global);
-    leaf_push_snapshot_to_members(fresh);
+  if (auto it = local_.find(g); it != local_.end()) {
+    leaf_reload(it->second, push);
   }
 }
 
 void ReplicaServer::coord_handle_push(NodeId from, const Message& m) {
   // Authoritative post-reconciliation state from the surviving coordinator:
-  // replace our copy, relay to our side's holders, and refresh local members.
-  CoordGroup cg;
-  cg.meta = GroupMeta{m.group, m.text, m.persistent};
-  cg.state.load(m.seq, m.state);
-  for (const UpdateRecord& u : m.updates) {
-    cg.state.apply(u);
-    cg.seen.emplace(u.sender.value, u.request_id);
+  // replace our copy (keeping its members), relay to our side's holders,
+  // and refresh local members.
+  Group cg(GroupMeta{m.group, m.text, m.persistent});
+  cg.restore(m.seq, m.state, m.updates);
+  if (const Group* old = coord_find(m.group)) {
+    for (const auto& [client, info] : old->members()) {
+      cg.set_member(client, info);
+    }
   }
-  cg.next_seq = cg.state.head_seq() + 1;
-  auto old = cgroups_.find(m.group);
-  if (old != cgroups_.end()) cg.members = std::move(old->second.members);
-  CORONA_CHECK_INVARIANTS(cg);
   coord_persist_create(cg);
-  store_->install_checkpoint(m.group, cg.state.base_seq(),
-                             cg.state.snapshot_at_base());
+  store_->install_checkpoint(m.group, cg.state().base_seq(),
+                             cg.state().snapshot_at_base());
   cgroups_.insert_or_assign(m.group, std::move(cg));
 
   for (NodeId holder : repl_.holders(m.group)) {
     if (!(holder == id()) && !(holder == from)) send(holder, m);
   }
-  if (local_.contains(m.group)) {
-    auto& lg = local_.at(m.group);
-    auto members = std::move(lg.local_members);
-    auto global = std::move(lg.global_members);
-    leaf_install_state(m.group, m);
-    LocalGroup& fresh = local_.at(m.group);
-    fresh.local_members = std::move(members);
-    fresh.global_members = std::move(global);
-    leaf_push_snapshot_to_members(fresh);
+  if (auto it = local_.find(m.group); it != local_.end()) {
+    leaf_reload(it->second, m);
   }
 }
 

@@ -14,6 +14,8 @@ ReplicaServer::ReplicaServer(ReplicaConfig cfg,
                              GroupStore* store)
     : cfg_(cfg),
       registry_(std::move(startup_servers)),
+      to_leaves_(cfg.batch_max_msgs, cfg.batch_max_delay, kCoordBatchTimer),
+      to_clients_(cfg.batch_max_msgs, cfg.batch_max_delay, kLeafBatchTimer),
       coord_fd_(cfg.fd_timeout),
       repl_(cfg.min_copies),
       leaf_fd_(cfg.fd_timeout),
@@ -89,7 +91,7 @@ const SharedState* ReplicaServer::local_state(GroupId g) const {
 
 const SharedState* ReplicaServer::coord_state(GroupId g) const {
   auto it = cgroups_.find(g);
-  return it != cgroups_.end() ? &it->second.state : nullptr;
+  return it != cgroups_.end() ? &it->second.state() : nullptr;
 }
 
 std::vector<NodeId> ReplicaServer::coord_holders(GroupId g) const {
@@ -138,36 +140,47 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
     }
     case MsgType::kRetransmitReq: {
       // From a peer server: serve from the coordinator's authoritative copy.
-      // From a client: serve from the leaf copy.
+      // From a client: serve a local member's gap from the leaf copy.
       if (is_coordinator() && registry_.contains(from)) {
         coord_handle_state_query(from, m);
-      } else {
-        auto it = local_.find(m.group);
-        if (it == local_.end()) break;
-        Message reply;
-        reply.type = MsgType::kStateReply;
-        reply.group = m.group;
-        const SharedState& st = it->second.state;
-        if (m.seq <= st.base_seq() && st.base_seq() > 0) {
-          reply.seq = st.head_seq();
-          reply.state = st.snapshot();
-        } else {
-          reply.seq = st.base_seq();
-          for (const UpdateRecord& u : st.since(m.seq - 1)) {
-            if (m.seq2 != 0 && u.seq > m.seq2) break;
-            reply.updates.push_back(u);
-          }
-        }
-        send(from, reply);
+        break;
       }
+      auto it = local_.find(m.group);
+      if (it == local_.end() || !it->second.local_members.contains(from)) {
+        send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
+        break;
+      }
+      Message reply;
+      reply.type = MsgType::kStateReply;
+      reply.group = m.group;
+      const SharedState& st = it->second.state;
+      if (m.seq <= st.base_seq() && st.base_seq() > 0) {
+        reply.seq = st.head_seq();
+        reply.state = st.snapshot();
+      } else {
+        reply.seq = st.base_seq();
+        for (const UpdateRecord& u : st.since(m.seq - 1)) {
+          if (m.seq2 != 0 && u.seq > m.seq2) break;
+          reply.updates.push_back(u);
+        }
+      }
+      send(from, reply);
       break;
     }
     case MsgType::kResendReply: {
-      // Client-side crash recovery resend: route to the sequencer.
+      // Client-side crash recovery resend: route to the sequencer.  A client
+      // resends only its own multicasts, so records naming another sender
+      // are dropped here, where the resending client is known; peer servers
+      // relay resends that were filtered this way already.
+      Message fwd = m;
+      if (!registry_.contains(from)) {
+        std::erase_if(fwd.updates, [from](const UpdateRecord& u) {
+          return !(u.sender == from);
+        });
+      }
       if (is_coordinator()) {
-        coord_handle_resend(from, m);
+        coord_handle_resend(fwd);
       } else {
-        Message fwd = m;
         fwd.origin_server = id();
         send(coordinator_, fwd);
       }
@@ -300,12 +313,12 @@ void ReplicaServer::on_timer(std::uint64_t tag) {
       }
       break;
     case kCoordBatchTimer:
-      coord_batch_timer_ = 0;
-      coord_flush_outbox();
+      to_leaves_.timer_fired();
+      stats_.seq_batch_frames += to_leaves_.ship(*this);
       break;
     case kLeafBatchTimer:
-      leaf_batch_timer_ = 0;
-      leaf_flush_outbox();
+      to_clients_.timer_fired();
+      stats_.fanout_batch_frames += to_clients_.ship(*this);
       break;
     default:
       break;
@@ -440,9 +453,7 @@ void ReplicaServer::leaf_handle_seq_multicast(const Message& m) {
     }
     return;
   }
-  rt().charge_cpu(id(), cfg_.state_cpu_per_msg +
-                            static_cast<Duration>(cfg_.state_cpu_per_byte *
-                                                  double(rec.data.size())));
+  rt().charge_cpu(id(), apply_cpu_cost(rec));
   leaf_apply_and_fanout(lg, rec, m.sender_inclusive, m.sender);
 }
 
@@ -450,48 +461,18 @@ void ReplicaServer::leaf_apply_and_fanout(LocalGroup& lg,
                                           const UpdateRecord& rec,
                                           bool sender_inclusive,
                                           NodeId origin) {
+  // The record is applied immediately (ordering and gap detection are
+  // per-message); only the kDeliver frames coalesce, one run per client.
   lg.state.apply(rec);
-  const Message out = make_deliver(lg.meta.id, rec);
-  if (cfg_.batch_max_msgs > 1) {
-    // Batched fan-out: the record is applied immediately (ordering and gap
-    // detection unchanged); only the kDeliver frames coalesce per client.
-    for (const auto& [member, info] : lg.local_members) {
-      if (!sender_inclusive && member == origin) continue;
-      leaf_outbox_[member].push_back(out);
-      ++stats_.fanout_deliveries;
-    }
-    ++leaf_outbox_msgs_;
-    if (leaf_outbox_msgs_ >= cfg_.batch_max_msgs) {
-      if (leaf_batch_timer_ != 0) {
-        cancel_timer(leaf_batch_timer_);
-        leaf_batch_timer_ = 0;
-      }
-      leaf_flush_outbox();
-    } else if (leaf_batch_timer_ == 0) {
-      leaf_batch_timer_ = set_timer(cfg_.batch_max_delay, kLeafBatchTimer);
-    }
-    return;
-  }
-  // Unbatched leaf fan-out: one encode of the kDeliver for all local
-  // members on engines that serialize at the sender.
   std::vector<NodeId> recipients;
   recipients.reserve(lg.local_members.size());
   for (const auto& [member, info] : lg.local_members) {
-    if (!sender_inclusive && member == origin) continue;
-    recipients.push_back(member);
+    if (sender_inclusive || !(member == origin)) recipients.push_back(member);
   }
-  fanout(recipients, out);
   stats_.fanout_deliveries += recipients.size();
-}
-
-void ReplicaServer::leaf_flush_outbox() {
-  leaf_outbox_msgs_ = 0;
-  if (leaf_outbox_.empty()) return;
-  auto outbox = std::move(leaf_outbox_);
-  leaf_outbox_.clear();
-  for (auto& [client, msgs] : outbox) {
-    if (msgs.size() > 1) ++stats_.fanout_batch_frames;
-    send_batch(client, msgs);
+  to_clients_.add(make_deliver(lg.meta.id, rec), std::move(recipients));
+  if (to_clients_.full(*this, to_clients_.size())) {
+    stats_.fanout_batch_frames += to_clients_.ship(*this);
   }
 }
 
@@ -499,13 +480,24 @@ void ReplicaServer::leaf_flush_outbox() {
 // Leaf: state replies (installs, gap fills, authoritative pushes)
 // ---------------------------------------------------------------------------
 
-void ReplicaServer::leaf_install_state(GroupId g, const Message& m) {
-  LocalGroup lg;
-  lg.meta = GroupMeta{g, m.text, m.persistent};
-  lg.state.load(m.seq, m.state);
-  for (const UpdateRecord& u : m.updates) lg.state.apply(u);
-  auto [it, inserted] = local_.insert_or_assign(g, std::move(lg));
-  (void)inserted;
+void ReplicaServer::leaf_install_state(LocalGroup& lg, const Message& m) {
+  lg.meta = GroupMeta{m.group, m.text, m.persistent};
+  lg.state.load(m.seq, m.state, m.updates);
+  lg.awaiting_fill = false;
+}
+
+void ReplicaServer::leaf_reload(LocalGroup& lg, const Message& m) {
+  leaf_install_state(lg, m);
+  // Queued deliveries must not arrive after a snapshot that supersedes them.
+  stats_.fanout_batch_frames += to_clients_.ship(*this);
+  Message push;
+  push.type = MsgType::kStateReply;
+  push.group = lg.meta.id;
+  push.seq = lg.state.head_seq();
+  push.state = lg.state.snapshot();
+  for (const auto& [member, info] : lg.local_members) {
+    send(member, push);
+  }
 }
 
 void ReplicaServer::leaf_handle_state_reply(NodeId from, const Message& m) {
@@ -530,27 +522,17 @@ void ReplicaServer::leaf_handle_state_reply(NodeId from, const Message& m) {
     return;
   }
 
+  auto it = local_.find(g);
   if (m.accept) {
-    // Authoritative push (partition reconciliation): replace the copy and
-    // resynchronize local members with a full snapshot.
-    auto it = local_.find(g);
-    if (it == local_.end()) return;
-    auto members = std::move(it->second.local_members);
-    auto global = std::move(it->second.global_members);
-    leaf_install_state(g, m);
-    LocalGroup& lg = local_.at(g);
-    lg.local_members = std::move(members);
-    lg.global_members = std::move(global);
-    leaf_push_snapshot_to_members(lg);
+    // Authoritative push (partition reconciliation).
+    if (it != local_.end()) leaf_reload(it->second, m);
     return;
   }
-
-  auto it = local_.find(g);
   if (it == local_.end()) {
     // Fresh install for pending joins / backup assignment.
     awaiting_state_.erase(g);
-    leaf_install_state(g, m);
-    LocalGroup& lg = local_.at(g);
+    LocalGroup& lg = local_[g];
+    leaf_install_state(lg, m);
     auto pit = pending_joins_.find(g);
     if (pit != pending_joins_.end()) {
       auto joins = std::move(pit->second);
@@ -565,32 +547,13 @@ void ReplicaServer::leaf_handle_state_reply(NodeId from, const Message& m) {
   lg.awaiting_fill = false;
   if (!m.state.empty()) {
     // The gap was reduced away at the coordinator; reload wholesale.
-    auto members = std::move(lg.local_members);
-    auto global = std::move(lg.global_members);
-    leaf_install_state(g, m);
-    LocalGroup& fresh = local_.at(g);
-    fresh.local_members = std::move(members);
-    fresh.global_members = std::move(global);
-    leaf_push_snapshot_to_members(fresh);
+    leaf_reload(lg, m);
     return;
   }
   for (const UpdateRecord& u : m.updates) {
     if (u.seq == lg.state.head_seq() + 1) {
       leaf_apply_and_fanout(lg, u, /*sender_inclusive=*/true, u.sender);
     }
-  }
-}
-
-void ReplicaServer::leaf_push_snapshot_to_members(LocalGroup& lg) {
-  // Queued deliveries must not arrive after a snapshot that supersedes them.
-  leaf_flush_outbox();
-  Message push;
-  push.type = MsgType::kStateReply;
-  push.group = lg.meta.id;
-  push.seq = lg.state.head_seq();
-  push.state = lg.state.snapshot();
-  for (const auto& [member, info] : lg.local_members) {
-    send(member, push);
   }
 }
 

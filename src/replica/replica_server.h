@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "core/group.h"
-#include "core/locks.h"
+#include "core/outbox.h"
 #include "core/state_transfer.h"
 #include "replica/election.h"
 #include "replica/failure_detector.h"
@@ -63,18 +63,16 @@ struct ReplicaConfig {
   Duration takeover_window = 400 * kMillisecond;
   std::size_t min_copies = 2;   // hot-standby requirement (§4.1)
   Duration flush_interval = 100 * kMillisecond;
-  // CPU model for state maintenance (same role as ServerConfig's).
-  Duration state_cpu_per_msg = 20;
-  double state_cpu_per_byte = 0.02;
 
   // Batched fan-out.  When batch_max_msgs > 1, the coordinator coalesces
   // outbound kSeqMulticast frames per leaf and leaves coalesce kDeliver
-  // frames per client: an outbox accumulates until batch_max_msgs sequencing
-  // decisions are queued or batch_max_delay after the first, then every
-  // destination gets one coalesced frame.  Sequencing, state application and
-  // timestamping stay immediate and per-message, so ordering, gap detection,
-  // retransmission and state transfer are semantically untouched.
-  // batch_max_msgs <= 1 keeps today's one-frame-per-message path.
+  // frames per client: an outbox (core/outbox.h) accumulates until
+  // batch_max_msgs sequencing decisions are queued or batch_max_delay after
+  // the first, then every destination gets one coalesced frame.
+  // Sequencing, state application and timestamping stay immediate and
+  // per-message, so ordering, gap detection, retransmission and state
+  // transfer are semantically untouched.  batch_max_msgs <= 1 sends every
+  // decision at once.
   std::size_t batch_max_msgs = 1;
   Duration batch_max_delay = 0;
 };
@@ -163,16 +161,17 @@ class ReplicaServer : public Node {
                                              const UpdateRecord& rec,
                                              bool sender_inclusive,
                                              NodeId origin);
-  // Sends every queued kDeliver run, one coalesced frame per client.
-  CORONA_HOT_PATH void leaf_flush_outbox();
   void leaf_handle_state_reply(NodeId from, const Message& m);
-  void leaf_install_state(GroupId g, const Message& m);
+  // Loads the copy from a state reply (snapshot at m.seq + retained history).
+  void leaf_install_state(LocalGroup& lg, const Message& m);
+  // Replaces a held copy with an authoritative state, keeping its members,
+  // and resynchronizes them with a full snapshot.
+  void leaf_reload(LocalGroup& lg, const Message& m);
   void leaf_handle_notice(const Message& m);
   void leaf_handle_group_op_result(const Message& m);
   void leaf_handle_group_deleted(const Message& m);
   void leaf_handle_log_reduced(const Message& m);
   void leaf_request_state(GroupId g);
-  void leaf_push_snapshot_to_members(LocalGroup& lg);
   void forward_group_op(NodeId client, const Message& m);
 
   // election
@@ -183,30 +182,11 @@ class ReplicaServer : public Node {
   void handle_announce(NodeId from, const Message& m);
 
   // ====================== coordinator side (coordinator.cc) ===========
-  struct CoordMemberInfo {
-    NodeId leaf;  // the server this client connects through
-    MemberRole role = MemberRole::kPrincipal;
-    bool notify = false;
-  };
-  struct CoordGroup {
-    GroupMeta meta;
-    SharedState state;
-    SeqNo next_seq = 1;
-    std::map<NodeId, CoordMemberInfo> members;  // client -> info
-    LockTable locks;
-    std::set<std::pair<std::uint64_t, RequestId>> seen;
-
-    // Sequencer invariants: the next sequence number to hand out is exactly
-    // head_seq+1 (the sequencer never skips or reuses a number), the
-    // authoritative history has no gaps, and every lock holder/waiter is a
-    // current member; plus the nested SharedState/LockTable invariants.
-    InvariantReport check_invariants() const;
-  };
-
   CORONA_HOT_PATH void coord_handle_fwd_multicast(NodeId from,
                                                   const Message& m);
-  void coord_sequence(CoordGroup& cg, UpdateRecord rec, bool sender_inclusive,
-                      NodeId origin_leaf);
+  // Sequences `rec` into `cg` and queues the kSeqMulticast for its holders.
+  CORONA_HOT_PATH void coord_sequence(Group& cg, UpdateRecord rec,
+                                      bool sender_inclusive);
   void coord_handle_group_op(NodeId from, const Message& m);
   void coord_op_create(NodeId leaf, const Message& m);
   void coord_op_delete(NodeId leaf, const Message& m);
@@ -215,21 +195,19 @@ class ReplicaServer : public Node {
   void coord_op_lock(NodeId leaf, const Message& m);
   void coord_op_unlock(NodeId leaf, const Message& m);
   void coord_op_reduce(NodeId leaf, const Message& m);
-  // Sends every queued kSeqMulticast run, one coalesced frame per leaf.
-  void coord_flush_outbox();
   void coord_handle_state_query(NodeId from, const Message& m);
-  void coord_handle_resend(NodeId from, const Message& m);
+  void coord_handle_resend(const Message& m);
   void coord_handle_hello(NodeId from, const Message& m);
   void coord_handle_heartbeat_ack(NodeId from, const Message& m);
   void coord_heartbeat_tick();
   void coord_drop_server(NodeId leaf);
-  void coord_send_notice(CoordGroup& cg, NodeId subject, MemberRole role,
+  void coord_send_notice(const Group& cg, NodeId subject, MemberRole role,
                          bool joined);
   void coord_maybe_assign_backup(GroupId g);
   void coord_send_result(NodeId leaf, const Message& original, Status s);
   void coord_route_lock_grant(GroupId g, ObjectId obj, NodeId client);
-  CoordGroup* coord_find(GroupId g);
-  void coord_persist_create(const CoordGroup& cg);
+  Group* coord_find(GroupId g);
+  void coord_persist_create(const Group& cg);
   void coord_flush_tick();
   // takeover
   void coord_begin_takeover();
@@ -261,14 +239,10 @@ class ReplicaServer : public Node {
   ServerRegistry registry_;
   ReplicaStats stats_;
 
-  // Batching outboxes (cfg_.batch_max_msgs > 1 only): per-destination runs
-  // of already-sequenced frames awaiting one coalesced send each.
-  std::map<NodeId, std::vector<Message>> coord_outbox_;
-  std::size_t coord_outbox_msgs_ = 0;  // sequencing decisions queued
-  TimerHandle coord_batch_timer_ = 0;
-  std::map<NodeId, std::vector<Message>> leaf_outbox_;
-  std::size_t leaf_outbox_msgs_ = 0;  // applied records queued
-  TimerHandle leaf_batch_timer_ = 0;
+  // Batched fan-out of already-sequenced frames: kSeqMulticast to holder
+  // leaves (coordinator) and kDeliver to local members (leaf).
+  Outbox to_leaves_;
+  Outbox to_clients_;
 
   // leaf
   std::map<GroupId, LocalGroup> local_;
@@ -278,7 +252,7 @@ class ReplicaServer : public Node {
   ElectionTally tally_;
 
   // coordinator
-  std::map<GroupId, CoordGroup> cgroups_;
+  std::map<GroupId, Group> cgroups_;
   ReplicationManager repl_;
   FailureDetector leaf_fd_;
   GroupStore* store_;

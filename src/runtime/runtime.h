@@ -3,15 +3,18 @@
 // Every Corona actor — client, stateful server, stateless baseline,
 // replicated leaf, coordinator — is a `Node`: an event-driven state machine
 // that reacts to messages and timers and emits sends through its `Runtime`.
-// Two engines implement Runtime:
+// Three engines implement Runtime:
 //
 //   * SimRuntime    — deterministic discrete-event execution over the
-//                     SimNetwork model (used by all benches and most tests);
+//                     SimNetwork model (used by the paper benches and most
+//                     tests);
 //   * ThreadRuntime — one OS thread per node with bounded mailboxes (used by
-//                     integration tests to exercise real concurrency).
+//                     integration tests to exercise real concurrency);
+//   * SocketRuntime — real TCP with one epoll loop thread (net/, the
+//                     deployable engine behind corona-serverd).
 //
-// Protocol code is identical under both; nothing in src/core or src/replica
-// knows which engine is driving it.
+// Protocol code is identical under all three; nothing in src/core or
+// src/replica knows which engine is driving it.
 #pragma once
 
 #include <cassert>
@@ -170,6 +173,8 @@ class Node {
   }
 
  private:
+  friend class Outbox;  // core/outbox.h batches fan-out through the helpers
+
   Runtime* rt_ = nullptr;
   NodeId self_;
 };

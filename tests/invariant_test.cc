@@ -158,6 +158,75 @@ TEST(GroupInvariants, SequencerBehindAppliedHeadIsReported) {
   EXPECT_FALSE(g.check_invariants().ok());
 }
 
+// The checks below are the sequencer walk the replicated coordinator runs
+// on its groups: a coordinator group is a Group whose members record the
+// leaf they connect through.
+Group coordinator_group() {
+  Group g(GroupMeta{GroupId{1}, "g", true});
+  g.set_member(NodeId{100}, Member{MemberRole::kPrincipal, false, NodeId{2}});
+  g.set_member(NodeId{101}, Member{MemberRole::kObserver, true, NodeId{3}});
+  g.locks().acquire(ObjectId{1}, NodeId{100});
+  g.locks().acquire(ObjectId{1}, NodeId{101});
+  for (int i = 0; i < 3; ++i) {
+    UpdateRecord rec = make_rec(0, 8);
+    rec.request_id = 10 + i;
+    g.sequence(rec, nullptr);
+  }
+  return g;
+}
+
+TEST(GroupInvariants, CleanCoordinatorGroupPasses) {
+  const Group g = coordinator_group();
+  EXPECT_EQ(g.next_seq(), 4u);
+  EXPECT_TRUE(g.check_invariants().ok()) << g.check_invariants().to_string();
+}
+
+TEST(GroupInvariants, SequencerSkipIsReported) {
+  // next_seq must be exactly head_seq+1: running ahead means the sequencer
+  // skipped a number, which leaves every member with a permanent gap.
+  Group g = coordinator_group();
+  GroupTestAccess::next_seq(g) = 5;
+  const InvariantReport rep = g.check_invariants();
+  ASSERT_FALSE(rep.ok());
+  EXPECT_NE(rep.to_string().find("next_seq 5 != head_seq+1 4"),
+            std::string::npos);
+}
+
+TEST(GroupInvariants, HistoryGapIsReported) {
+  // The authoritative copy applies every record it sequences, so a missing
+  // seq in its history is corruption.  SharedState's own walk accepts gaps
+  // (client copies may hold object-filtered tails); the Group walk must not.
+  Group g = coordinator_group();
+  auto& history = SharedStateTestAccess::history(g.state());
+  SharedStateTestAccess::history_bytes(g.state()) -= history[1].data.size();
+  history.erase(history.begin() + 1);  // drop seq 2 of 1..3
+  EXPECT_TRUE(g.state().check_invariants().ok());
+  const InvariantReport rep = g.check_invariants();
+  ASSERT_FALSE(rep.ok());
+  EXPECT_NE(rep.to_string().find("history gap at seq 2"), std::string::npos);
+}
+
+TEST(GroupInvariants, NonMemberLockWaiterIsReported) {
+  // A member that leaves must also leave the lock queues (drop_member).
+  Group g = coordinator_group();
+  g.remove_member(NodeId{101});  // still queued behind the holder
+  const InvariantReport rep = g.check_invariants();
+  ASSERT_FALSE(rep.ok());
+  EXPECT_NE(rep.to_string().find("lock waiter node:101"), std::string::npos);
+}
+
+TEST(GroupInvariants, RestoreResumesTheSequencer) {
+  // Recovery, promotion, takeover and state pushes all rebuild a group
+  // with restore(): the sequencer resumes right after the replayed records
+  // and every replayed (sender, request-id) is deduplicated.
+  Group g(GroupMeta{GroupId{1}, "g", true});
+  g.restore(4, {StateEntry{ObjectId{1}, Bytes(3, std::uint8_t{1})}},
+            {make_rec(5, 8), make_rec(6, 8)});
+  EXPECT_EQ(g.next_seq(), 7u);
+  EXPECT_TRUE(g.was_seen(NodeId{100}, 6));
+  EXPECT_TRUE(g.check_invariants().ok()) << g.check_invariants().to_string();
+}
+
 // ---------------------------------------------------------------------------
 // ReplicationManager
 // ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ using testing::SingleServerWorld;
 
 const GroupId kG{1};
 
+// gtest names each case after the struct's bytes, so it must have no
+// padding: uninitialized padding made the case names differ between builds.
 struct WorkloadParams {
-  int seed;
+  std::uint64_t seed;
   std::size_t clients;
   std::size_t operations;
 };

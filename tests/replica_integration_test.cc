@@ -258,10 +258,13 @@ TEST(Replicated, LeafCrashDropsItsMembersAndKeepsGroupAlive) {
   w.settle();
 
   // Crash leaf 1 (client 0's server).  Coordinator detects via heartbeats,
-  // removes it from the registry, drops its members.
+  // removes it from the registry, drops its members, and sends the shrunk
+  // server list to every survivor (a later election counts live servers).
   w.rt.crash(w.server_ids[1]);
   w.run_ms(3000);
   EXPECT_FALSE(w.coordinator().registry().contains(w.server_ids[1]));
+  EXPECT_FALSE(w.leaf(2).registry().contains(w.server_ids[1]));
+  EXPECT_FALSE(w.leaf(3).registry().contains(w.server_ids[1]));
 
   // Client 1 (on surviving leaf 2) continues unaffected.
   w.client(1).bcast_update(kG, kObj, to_bytes("post;"));
@@ -499,13 +502,19 @@ TEST(Replicated, HotStandbyRetainedWithoutFreshBackupElection) {
   EXPECT_GE(holders.size(), 2u);
 }
 
-// Sends one bounded retransmit request and records the seqs in the reply.
+// Sends bounded retransmit requests and records the seqs in the replies
+// (and the status of any error reply).
 class RangeProbe final : public Node {
  public:
   void on_message(NodeId, const Message& m) override {
+    if (m.type == MsgType::kReply) refusals.push_back(m.status);
     if (m.type != MsgType::kStateReply) return;
     for (const UpdateRecord& u : m.updates) got.push_back(u.seq);
     ++replies;
+  }
+  void join(NodeId server, GroupId g) {
+    send(server, make_join(g, TransferPolicySpec::nothing(),
+                           MemberRole::kObserver, false, /*rid=*/1));
   }
   void query(NodeId server, GroupId g, SeqNo from, SeqNo to) {
     Message req;
@@ -517,6 +526,7 @@ class RangeProbe final : public Node {
   }
   std::vector<SeqNo> got;
   int replies = 0;
+  std::vector<Errc> refusals;
 };
 
 TEST(Replicated, BoundedRetransmitRangeIsInclusive) {
@@ -537,6 +547,8 @@ TEST(Replicated, BoundedRetransmitRangeIsInclusive) {
   RangeProbe probe;
   w.rt.add_node(NodeId{900}, &probe,
                 w.rt.network().add_host(HostProfile{}));
+  probe.join(w.server_ids[1], kG);  // the leaf serves only local members
+  w.settle();
   probe.query(w.server_ids[1], kG, /*from=*/2, /*to=*/3);
   w.settle();
   ASSERT_EQ(probe.replies, 1);
@@ -548,6 +560,28 @@ TEST(Replicated, BoundedRetransmitRangeIsInclusive) {
   w.settle();
   ASSERT_EQ(probe.replies, 2);
   EXPECT_EQ(probe.got, (std::vector<SeqNo>{2, 3, 4}));
+  EXPECT_TRUE(probe.refusals.empty());
+}
+
+TEST(Replicated, LeafRefusesRetransmitToNonMember) {
+  // A gap fill ships group state, so a leaf answers it for its own local
+  // members only; anyone else learns kNotMember and sees no records.
+  ReplicatedWorld w(2, 1);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.settle();
+  w.client(0).bcast_update(kG, kObj, to_bytes("secret"));
+  w.settle();
+
+  RangeProbe probe;
+  w.rt.add_node(NodeId{900}, &probe,
+                w.rt.network().add_host(HostProfile{}));
+  probe.query(w.server_ids[1], kG, /*from=*/1, /*to=*/0);
+  w.settle();
+  EXPECT_EQ(probe.replies, 0);
+  EXPECT_TRUE(probe.got.empty());
+  EXPECT_EQ(probe.refusals, (std::vector<Errc>{Errc::kNotMember}));
 }
 
 TEST(Replicated, CoordinatorBoundedRetransmitCarriesUpdates) {

@@ -445,6 +445,78 @@ TEST(ServerClient, RetransmitAtReductionBoundaryShipsSnapshot) {
   EXPECT_EQ(to_string(*cs->object(kObj)), "aaaaabbb");
 }
 
+// A raw protocol endpoint that records every message it receives.
+class Probe final : public Node {
+ public:
+  void on_message(NodeId, const Message& m) override { got.push_back(m); }
+  void ask(NodeId to, const Message& m) { send(to, m); }
+  std::vector<Message> got;
+};
+
+TEST(ServerClient, RetransmitServesMembersOnly) {
+  // A gap fill ships group state, so only a member may ask for one: anyone
+  // else learns kNotMember and sees no records, while a member's own gap
+  // fill is still served.
+  SingleServerWorld w(1);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.settle();
+  w.client(0).bcast_update(kG, kObj, to_bytes("secret"));
+  w.settle();
+
+  Probe probe;
+  w.rt.add_node(NodeId{900}, &probe, w.rt.network().add_host(HostProfile{}));
+  Message req;
+  req.type = MsgType::kRetransmitReq;
+  req.group = kG;
+  req.seq = 1;
+  probe.ask(kServerId, req);
+  w.settle();
+  ASSERT_EQ(probe.got.size(), 1u);
+  EXPECT_EQ(probe.got[0].type, MsgType::kReply);
+  EXPECT_EQ(probe.got[0].status, Errc::kNotMember);
+  EXPECT_EQ(w.server->stats().retransmits_served, 0u);
+
+  w.server->on_message(client_id(0), req);
+  w.settle();
+  EXPECT_EQ(w.server->stats().retransmits_served, 1u);
+}
+
+TEST(ServerClient, ResendNamingAnotherSenderIsDropped) {
+  // A client resends only its own multicasts (CoronaClient::remember_send
+  // stamps sender = id()).  A resent record that names another member as
+  // its sender is forged and must not be sequenced under that name; the
+  // resender's own records still are.
+  SingleServerWorld w(2);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.client(1).join(kG);
+  w.settle();
+
+  UpdateRecord forged;
+  forged.kind = PayloadKind::kUpdate;
+  forged.object = kObj;
+  forged.data = to_bytes("forged;");
+  forged.sender = client_id(0);  // not the resending client
+  forged.request_id = 999;
+  UpdateRecord own = forged;
+  own.data = to_bytes("own;");
+  own.sender = client_id(1);
+  own.request_id = 998;
+  Message resend;
+  resend.type = MsgType::kResendReply;
+  resend.group = kG;
+  resend.updates = {forged, own};
+  w.server->on_message(client_id(1), resend);
+  w.settle();
+
+  EXPECT_EQ(w.server->stats().resends_applied, 1u);
+  EXPECT_EQ(to_string(*w.server->group(kG)->state().object(kObj)), "own;");
+  EXPECT_FALSE(w.server->group(kG)->was_seen(client_id(0), 999));
+}
+
 TEST(ServerClient, AutomaticReductionPolicy) {
   ServerConfig cfg;
   cfg.reduction_factory = [] { return make_count_threshold(5); };

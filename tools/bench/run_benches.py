@@ -8,7 +8,7 @@ name.  Exit status is non-zero if any bench fails to run or emits no JSON.
 
 Usage:
     tools/bench/run_benches.py [--build-dir build] [--out BENCH_socket_baseline.json]
-    tools/bench/run_benches.py --compare BENCH_socket_baseline.json
+    tools/bench/run_benches.py --compare BENCH_socket_baseline.json [--exact]
 
 With --compare the freshly-measured metrics are checked against a recorded
 baseline and the run fails (exit 1) if any direction-known metric regressed
@@ -29,6 +29,12 @@ Metrics with no matching pattern fall back to --threshold (default 25).
 The `_thresholds` section is not a bench: it is skipped when comparing and
 carried over verbatim when --out records fresh numbers.  The baseline file
 is left untouched in compare mode unless --out names a different path.
+
+--exact (with --compare) is for benches that run in virtual time on the
+deterministic simulator, where a rerun reproduces every number: each
+numeric metric of each compared bench must equal its recorded value, in
+either direction and whatever its name, and a metric present on only one
+side is a mismatch too.  `_thresholds` is ignored.
 """
 
 import argparse
@@ -164,6 +170,35 @@ def compare_metrics(
     return regressions
 
 
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare_exact(baseline: dict, fresh: dict) -> int:
+    """Prints every numeric metric that differs from its recorded value;
+    returns the mismatch count.  Benches run on only one side are skipped
+    (--benches may select a subset of a baseline file)."""
+    mismatches = 0
+    for bench in sorted(set(baseline) | set(fresh)):
+        if bench == THRESHOLDS_KEY:
+            continue
+        if bench not in baseline or bench not in fresh:
+            side = "baseline" if bench in baseline else "fresh run"
+            print(f"[compare] {bench}: only in {side} — skipped")
+            continue
+        old_metrics, new_metrics = baseline[bench], fresh[bench]
+        for key in sorted(set(old_metrics) | set(new_metrics)):
+            old, new = old_metrics.get(key), new_metrics.get(key)
+            if not is_number(old) and not is_number(new):
+                continue
+            if is_number(old) and is_number(new) and old == new:
+                continue
+            mismatches += 1
+            print(f"[compare] MISMATCH {bench}.{key}: recorded {old}, "
+                  f"measured {new}")
+    return mismatches
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -191,6 +226,12 @@ def main() -> int:
         "on regressions instead of (re)writing it",
     )
     parser.add_argument(
+        "--exact",
+        action="store_true",
+        help="with --compare: every numeric metric must equal the recorded "
+        "value exactly (for virtual-time benches); _thresholds is ignored",
+    )
+    parser.add_argument(
         "--threshold",
         type=float,
         default=25.0,
@@ -204,6 +245,8 @@ def main() -> int:
         f"(default: {','.join(BENCHES)})",
     )
     args = parser.parse_args()
+    if args.exact and not args.compare:
+        parser.error("--exact needs --compare BASELINE_JSON")
 
     benches = BENCHES
     if args.benches:
@@ -235,8 +278,11 @@ def main() -> int:
         print(f"[run_benches]   {len(metrics)} metrics", flush=True)
 
     if baseline is not None:
-        regressions = compare_metrics(baseline, merged, args.threshold,
-                                      thresholds)
+        if args.exact:
+            regressions = compare_exact(baseline, merged)
+        else:
+            regressions = compare_metrics(baseline, merged, args.threshold,
+                                          thresholds)
         # Compare mode never clobbers a baseline implicitly; an explicit
         # --out (different from the compared file) records the fresh
         # numbers, with the baseline's thresholds carried over.
@@ -248,10 +294,18 @@ def main() -> int:
                 json.dump(merged, f, indent=2, sort_keys=True)
                 f.write("\n")
             print(f"[run_benches] wrote {args.out} ({len(merged)} benches)")
+        if regressions and args.exact:
+            print(f"[run_benches] FAIL: {regressions} metric(s) differ from "
+                  "the recorded value")
+            return 1
         if regressions:
             print(f"[run_benches] FAIL: {regressions} metric(s) regressed "
                   "beyond threshold")
             return 1
+        if args.exact:
+            print("[run_benches] compare OK: every metric equals its "
+                  "recorded value")
+            return 0
         print("[run_benches] compare OK: no metric regressed beyond its "
               f"threshold (fallback {args.threshold:g}%)")
         return 0

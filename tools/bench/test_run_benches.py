@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for run_benches.py's pure logic: metric direction inference,
-fnmatch threshold resolution, and baseline comparison.
+fnmatch threshold resolution, and baseline comparison (thresholded and
+--exact).
 
 Run directly or via ctest (bench_driver_selftest).  Dependency-free; no
 bench binaries are executed.
@@ -120,6 +121,52 @@ class CompareMetrics(unittest.TestCase):
             {run_benches.THRESHOLDS_KEY: {"*": 1.0}, "b": {"p99_ms": 1.0}},
             {"b": {"p99_ms": 1.0}})
         self.assertEqual(n, 0)
+
+
+class CompareExact(unittest.TestCase):
+    def compare(self, baseline, fresh):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            n = run_benches.compare_exact(baseline, fresh)
+        return n, buf.getvalue()
+
+    def test_identical_metrics_pass(self):
+        run = {"b": {"p99_ms": 12.5, "n_clients": 4, "label": "x"}}
+        n, _ = self.compare(run, {"b": dict(run["b"])})
+        self.assertEqual(n, 0)
+
+    def test_any_drift_fails_in_either_direction(self):
+        n, out = self.compare(
+            {"b": {"p99_ms": 100.0, "msgs_per_sec": 50.0}},
+            {"b": {"p99_ms": 99.0, "msgs_per_sec": 50.5}})
+        self.assertEqual(n, 2)  # both moves are "improvements"
+        self.assertIn("MISMATCH b.p99_ms", out)
+        self.assertIn("MISMATCH b.msgs_per_sec", out)
+
+    def test_directionless_metrics_are_checked(self):
+        n, out = self.compare({"b": {"n_clients": 4}}, {"b": {"n_clients": 5}})
+        self.assertEqual(n, 1)
+        self.assertIn("MISMATCH b.n_clients", out)
+
+    def test_thresholds_are_ignored(self):
+        baseline = {run_benches.THRESHOLDS_KEY: {"*": 1000.0},
+                    "b": {"p99_ms": 100.0}}
+        n, _ = self.compare(baseline, {"b": {"p99_ms": 100.001}})
+        self.assertEqual(n, 1)
+
+    def test_missing_or_added_metric_is_a_mismatch(self):
+        n, out = self.compare({"b": {"p50_ms": 1.0, "old": 2.0}},
+                              {"b": {"p50_ms": 1.0, "new": 3.0}})
+        self.assertEqual(n, 2)
+        self.assertIn("MISMATCH b.old", out)
+        self.assertIn("MISMATCH b.new", out)
+
+    def test_non_numeric_values_and_unrun_benches_are_skipped(self):
+        n, out = self.compare(
+            {"b": {"label": "x", "flag": True}, "other": {"p50_ms": 1.0}},
+            {"b": {"label": "y", "flag": False}})
+        self.assertEqual(n, 0)
+        self.assertIn("other: only in baseline", out)
 
 
 if __name__ == "__main__":

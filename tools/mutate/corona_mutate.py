@@ -158,18 +158,18 @@ GOLDENS = [
     ),
     GoldenSpec(
         "golden-drop-batch-tail",
-        "src/core/server.cc",
-        r"config_\.debug_drop_batch_tail && msgs\.size\(\) > 1",
+        "src/core/outbox.cc",
+        r"drop_tail_ && msgs\.size\(\) > 1",
         "msgs.size() > 1",
         "server drops the tail record of every coalesced batch frame "
         "(--seed-batch-bug equivalent)",
     ),
     GoldenSpec(
         "golden-sequencer-skip",
-        "src/replica/coordinator.cc",
-        r"rec\.seq = cg\.next_seq\+\+;",
-        "rec.seq = ++cg.next_seq;",
-        "coordinator sequencer skips a sequence number per multicast "
+        "src/core/group.cc",
+        r"rec\.seq = next_seq_\+\+;",
+        "rec.seq = ++next_seq_;",
+        "group sequencer skips a sequence number per multicast "
         "(total-order gap)",
     ),
     GoldenSpec(
