@@ -98,7 +98,10 @@ struct ServerConfig {
   // message.  Sequencing order is arrival order and each record's timestamp
   // is stamped at arrival, so per-client delivery streams are byte-identical
   // whatever the batch size.  batch_max_msgs <= 1 drains every multicast on
-  // arrival, as a batch of one.
+  // arrival, as a batch of one.  On sockets the batch size decides
+  // sequencing and commit grouping, not the syscall count: SocketRuntime
+  // writes each connection once per loop turn at any batch size.  Under the
+  // sim it also sets the modelled per-send cost.
   std::size_t batch_max_msgs = 1;
   Duration batch_max_delay = 0;
 

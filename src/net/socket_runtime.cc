@@ -30,6 +30,12 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+std::size_t total_bytes(std::span<const Bytes> frames) {
+  std::size_t total = 0;
+  for (const Bytes& frame : frames) total += frame.size();
+  return total;
+}
+
 }  // namespace
 
 SocketRuntime::SocketRuntime(SocketRuntimeConfig cfg)
@@ -361,7 +367,6 @@ void SocketRuntime::drain_ops() {
     std::deque<Op> batch;
     {
       MutexLock lock(mu_);
-      if (ops_.empty()) return;
       batch.swap(ops_);
     }
     for (Op& op : batch) {
@@ -403,6 +408,12 @@ void SocketRuntime::drain_ops() {
         }
       }
     }
+    // The one write point: every connection this pass queued to (or that
+    // the event handlers marked before it) is written once.  Flushing per
+    // pass, not after the queue runs dry, keeps a caller that refills the
+    // queue from another thread from holding the writes back.
+    flush_marked();
+    if (batch.empty()) return;
   }
 }
 
@@ -421,37 +432,7 @@ void SocketRuntime::apply_send(NodeId from, NodeId to, Bytes wire) {
   }
 
   Bytes frame = encode_message_frame(from, to, wire);
-  if (const auto r = routes_.find(to); r != routes_.end()) {
-    const auto cit = conns_.find(r->second);
-    if (cit != conns_.end() && !cit->second->dead) {
-      Conn& c = *cit->second;
-      queue_on_conn(c, std::move(frame));
-      if (c.open) flush_conn(c);
-      return;
-    }
-  }
-  const auto pit = peers_.find(to);
-  if (pit == peers_.end()) {
-    // No live route and no way to dial: the documented lossy-send case.
-    counters_.messages_dropped.fetch_add(1);
-    return;
-  }
-  Peer& peer = pit->second;
-  if (peer.fd >= 0) {
-    // A dial is in flight; queue on that connection, flushed once open.
-    const auto cit = conns_.find(peer.fd);
-    if (cit != conns_.end() && !cit->second->dead) {
-      queue_on_conn(*cit->second, std::move(frame));
-      return;
-    }
-  }
-  if (peer.pending_bytes + frame.size() > cfg_.max_conn_queue_bytes) {
-    counters_.messages_dropped.fetch_add(1);
-    return;
-  }
-  peer.pending_bytes += frame.size();
-  peer.pending.push_back(std::move(frame));
-  if (peer.fd < 0 && !peer.next_connect_at) start_connect(to, peer);
+  enqueue(to, {&frame, 1});
 }
 
 void SocketRuntime::apply_send_batch(NodeId from, NodeId to,
@@ -471,77 +452,88 @@ void SocketRuntime::apply_send_batch(NodeId from, NodeId to,
 
   std::vector<Bytes> frames;
   frames.reserve(wires.size());
-  std::size_t total = 0;
   for (const Bytes& wire : wires) {
     frames.push_back(encode_message_frame(from, to, wire));
-    total += frames.back().size();
   }
+  enqueue(to, frames);
+}
 
-  if (const auto r = routes_.find(to); r != routes_.end()) {
-    const auto cit = conns_.find(r->second);
-    if (cit != conns_.end() && !cit->second->dead) {
-      Conn& c = *cit->second;
-      // The batch queues atomically: either the whole run fits under the
-      // cap or none of it does (a shed batch never leaves a gapped suffix).
-      if (c.outq_bytes + total > cfg_.max_conn_queue_bytes) {
-        counters_.messages_dropped.fetch_add(frames.size());
-        return;
-      }
-      for (Bytes& frame : frames) {
-        c.outq_bytes += frame.size();
-        c.outq.push_back(std::move(frame));
-      }
-      if (c.open) flush_conn(c);  // one gathered flush covers the run
-      return;
-    }
-  }
+// Queues a run of frames toward `to`: on the connection routing to it, else
+// on a dial in flight to that book peer, else in the peer's pending queue
+// (dialing it unless a redial is already scheduled).  With no route and no
+// book entry the run is dropped, the documented lossy-send case.
+void SocketRuntime::enqueue(NodeId to, std::span<Bytes> frames) {
+  const auto live = [this](int fd) -> Conn* {
+    const auto it = conns_.find(fd);
+    return it != conns_.end() && !it->second->dead ? it->second.get()
+                                                   : nullptr;
+  };
+  Conn* c = nullptr;
+  if (const auto r = routes_.find(to); r != routes_.end()) c = live(r->second);
   const auto pit = peers_.find(to);
+  if (c == nullptr && pit != peers_.end() && pit->second.fd >= 0) {
+    c = live(pit->second.fd);
+  }
+  if (c != nullptr) {
+    queue_on_conn(*c, frames);
+    return;
+  }
   if (pit == peers_.end()) {
     counters_.messages_dropped.fetch_add(frames.size());
     return;
   }
   Peer& peer = pit->second;
-  if (peer.fd >= 0) {
-    const auto cit = conns_.find(peer.fd);
-    if (cit != conns_.end() && !cit->second->dead) {
-      Conn& c = *cit->second;
-      if (c.outq_bytes + total > cfg_.max_conn_queue_bytes) {
-        counters_.messages_dropped.fetch_add(frames.size());
-        return;
-      }
-      for (Bytes& frame : frames) {
-        c.outq_bytes += frame.size();
-        c.outq.push_back(std::move(frame));
-      }
-      return;
-    }
-  }
+  const std::size_t total = total_bytes(frames);
   if (peer.pending_bytes + total > cfg_.max_conn_queue_bytes) {
     counters_.messages_dropped.fetch_add(frames.size());
     return;
   }
+  peer.pending_bytes += total;
   for (Bytes& frame : frames) {
-    peer.pending_bytes += frame.size();
     peer.pending.push_back(std::move(frame));
   }
   if (peer.fd < 0 && !peer.next_connect_at) start_connect(to, peer);
 }
 
-void SocketRuntime::queue_on_conn(Conn& c, Bytes frame) {
-  if (c.outq_bytes + frame.size() > cfg_.max_conn_queue_bytes) {
-    counters_.messages_dropped.fetch_add(1);
+// The run queues atomically: either all of it fits under the cap or none of
+// it does, so a shed batch never leaves a gapped suffix.
+void SocketRuntime::queue_on_conn(Conn& c, std::span<Bytes> frames) {
+  const std::size_t total = total_bytes(frames);
+  if (c.outq_bytes + total > cfg_.max_conn_queue_bytes) {
+    counters_.messages_dropped.fetch_add(frames.size());
     return;
   }
-  c.outq_bytes += frame.size();
-  c.outq.push_back(std::move(frame));
+  c.outq_bytes += total;
+  for (Bytes& frame : frames) {
+    c.outq.push_back(std::move(frame));
+  }
+  mark_for_flush(c);
+}
+
+// A dial in flight is not marked: on_connect_ready marks it once it opens.
+void SocketRuntime::mark_for_flush(Conn& c) {
+  if (c.marked || !c.open) return;
+  c.marked = true;
+  marked_.push_back(c.fd);
+}
+
+void SocketRuntime::flush_marked() {
+  for (const int fd : marked_) {
+    const auto it = conns_.find(fd);
+    // An unmarked conn here reuses the fd of a marked one closed since.
+    if (it == conns_.end() || !it->second->marked) continue;
+    it->second->marked = false;
+    flush_conn(*it->second);
+  }
+  marked_.clear();
 }
 
 void SocketRuntime::flush_conn(Conn& c) {
   if (!c.open || c.dead) return;
   // Gathered writes: every queued frame (up to the iovec cap) goes out in
-  // one writev, so a coalesced batch costs one syscall instead of one per
-  // frame.  Partial writes leave wip_off pointing into the first unsent
-  // frame, exactly as the per-frame loop did.
+  // one writev, so the frames a turn queued here cost one syscall per 64
+  // instead of one each.  Partial writes leave wip_off pointing into the
+  // first unsent frame, exactly as the per-frame loop did.
   static constexpr std::size_t kMaxIov = 64;
   while (!c.outq.empty()) {
     iovec iov[kMaxIov];
@@ -667,24 +659,27 @@ void SocketRuntime::on_connect_ready(Conn& c) {
     (void)node;
     local.push_back(id);
   }
-  // The hello goes ahead of any traffic queued while connecting.
-  Bytes hello = encode_hello_frame(local);
-  c.outq_bytes += hello.size();
-  c.outq.push_front(std::move(hello));
+  // Frames held while the peer was down are older than those queued on this
+  // dial while it was in flight, so they go first; the hello leads both.
+  // Neither queue outgrew the cap on its own, and the merged backlog only
+  // delays new sends until it drains — it drops nothing already accepted.
   const auto pit = peers_.find(c.target);
   if (pit != peers_.end()) {
     Peer& peer = pit->second;
     peer.backoff = 0;
     peer.next_connect_at.reset();
-    while (!peer.pending.empty()) {
-      queue_on_conn(c, std::move(peer.pending.front()));
-      peer.pending.pop_front();
-    }
+    c.outq.insert(c.outq.begin(), std::make_move_iterator(peer.pending.begin()),
+                  std::make_move_iterator(peer.pending.end()));
+    c.outq_bytes += peer.pending_bytes;
+    peer.pending.clear();
     peer.pending_bytes = 0;
   }
+  Bytes hello = encode_hello_frame(local);
+  c.outq_bytes += hello.size();
+  c.outq.push_front(std::move(hello));
   routes_[c.target] = c.fd;
   c.claims.insert(c.target);
-  flush_conn(c);
+  mark_for_flush(c);
 }
 
 void SocketRuntime::on_readable(Conn& c) {
@@ -754,7 +749,6 @@ void SocketRuntime::handle_frame(Conn& c, Frame frame) {
     }
     case FrameKind::kPing:
       queue_on_conn(c, encode_pong_frame());
-      flush_conn(c);
       break;
     case FrameKind::kPong:
       break;  // last_rx was already refreshed by the read
@@ -868,7 +862,6 @@ void SocketRuntime::sweep_keepalive() {
         t - c.last_tx >= cfg_.keepalive_interval) {
       queue_on_conn(c, encode_ping_frame());
       counters_.pings_sent.fetch_add(1);
-      flush_conn(c);
     }
   }
 }

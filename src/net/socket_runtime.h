@@ -27,6 +27,16 @@
 //   with no live route and no book entry are dropped silently — exactly the
 //   lossy contract Runtime::send documents ("like a broken TCP connection").
 //
+// Writes
+//   Queueing a frame never writes it: it only marks the frame's connection.
+//   Each pass of the loop over its op queue ends by flushing every marked
+//   connection in gathered sendmsg calls (up to 64 frames each), so all the
+//   frames a loop turn queues to one connection — a fan-out to the members
+//   behind it, a batch run, replies, a keepalive ping — share one syscall.
+//   Only a connection whose socket buffer filled up is written from its
+//   EPOLLOUT event instead.  Gathering changes the syscall count only: the
+//   frames and their order on each connection stay as queued.
+//
 // Backpressure
 //   Outbound bytes queue per connection up to max_conn_queue_bytes; past
 //   the cap new frames are dropped and counted (stats().messages_dropped)
@@ -42,6 +52,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -124,16 +135,19 @@ class SocketRuntime : public Runtime {
   TimePoint now() const override;
   void send(NodeId from, NodeId to, const Message& m) override;
   // Batched send: all frames enter the peer's queue under one op (one lock
-  // acquisition, one loop wakeup) and leave in as few gathered writes as the
-  // socket accepts.  Loss stays atomic: a connection torn down mid-batch
-  // loses the whole queued suffix together, never an interior frame.
+  // acquisition, one loop wakeup) and as one unit against the queue cap.
+  // They share the turn's gathered write with whatever else that turn
+  // queued to the connection, as separate sends would.  Loss stays atomic:
+  // a connection torn down mid-batch loses the whole queued suffix
+  // together, never an interior frame.
   void send_batch(NodeId from, NodeId to,
                   const std::vector<Message>& ms) override;
   // Encode-once fan-out: the message is serialized once and the wire bytes
-  // queued to each target (one op, one loop wakeup).  Per-connection FIFO
-  // order against other sends from the same node is preserved — the op
-  // queue is drained in order, so the expansion sits exactly where the
-  // per-target send loop would have.
+  // queued to each target (one op, one loop wakeup).  Targets behind one
+  // connection get their frames in that connection's single write for the
+  // turn.  Per-connection FIFO order against other sends from the same node
+  // is preserved — the op queue is drained in order, so the expansion sits
+  // exactly where the per-target send loop would have.
   void fanout(NodeId from, const std::vector<NodeId>& to,
               const Message& m) override;
   TimerHandle set_timer(NodeId owner, Duration delay,
@@ -168,6 +182,7 @@ class SocketRuntime : public Runtime {
     std::size_t outq_bytes = 0;
     std::size_t wip_off = 0;        // bytes of outq.front() already written
     bool want_write = false;        // EPOLLOUT armed
+    bool marked = false;            // listed in marked_ for this turn's flush
     std::set<NodeId> claims;        // node ids routed over this connection
     TimePoint last_rx = 0;
     TimePoint last_tx = 0;
@@ -193,7 +208,11 @@ class SocketRuntime : public Runtime {
   void drain_ops();
   void apply_send(NodeId from, NodeId to, Bytes wire);
   void apply_send_batch(NodeId from, NodeId to, std::vector<Bytes> wires);
-  void queue_on_conn(Conn& c, Bytes frame);
+  void enqueue(NodeId to, std::span<Bytes> frames);
+  void queue_on_conn(Conn& c, std::span<Bytes> frames);
+  void queue_on_conn(Conn& c, Bytes frame) { queue_on_conn(c, {&frame, 1}); }
+  void mark_for_flush(Conn& c);
+  void flush_marked();
   CORONA_NONBLOCKING void flush_conn(Conn& c);
   void update_epoll(Conn& c, bool want_write);
   CORONA_NONBLOCKING void start_connect(NodeId peer_id, Peer& peer);
@@ -229,6 +248,7 @@ class SocketRuntime : public Runtime {
   std::map<NodeId, Peer> peers_;               // address-book peers
   std::map<int, std::unique_ptr<Conn>> conns_;
   std::map<NodeId, int> routes_;               // remote node -> fd
+  std::vector<int> marked_;                    // fds awaiting this turn's flush
   // Timers: ordered by (deadline, handle) for pop-min; the index gives
   // O(log n) cancel.
   struct TimerRec {

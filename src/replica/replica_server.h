@@ -72,7 +72,10 @@ struct ReplicaConfig {
   // Sequencing, state application and timestamping stay immediate and
   // per-message, so ordering, gap detection, retransmission and state
   // transfer are semantically untouched.  batch_max_msgs <= 1 sends every
-  // decision at once.
+  // decision at once.  On sockets the batch size decides how decisions are
+  // grouped per destination, not the syscall count: SocketRuntime writes
+  // each connection once per loop turn at any batch size.  Under the sim it
+  // also sets the modelled per-send cost.
   std::size_t batch_max_msgs = 1;
   Duration batch_max_delay = 0;
 };

@@ -95,8 +95,10 @@ class Runtime {
   // format is unchanged — a batch is just the back-to-back concatenation of
   // the individual message frames — but engines amortize per-send costs over
   // the batch: the simulator charges one per-message CPU cost for the whole
-  // batch on each end, and the socket engine turns the queue into a single
-  // writev.  The batch is atomic with respect to loss: either the whole
+  // batch on each end, and the socket engine hands the run to its loop as
+  // one op.  The socket engine writes each connection once per loop turn
+  // whatever primitive queued the frames, so there a batch does not save
+  // syscalls.  The batch is atomic with respect to loss: either the whole
   // frame arrives or none of it does (like one TCP segment run).  The
   // default expands to point-to-point sends (engines without a cheaper
   // primitive stay correct).

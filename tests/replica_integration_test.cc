@@ -584,6 +584,24 @@ TEST(Replicated, LeafRefusesRetransmitToNonMember) {
   EXPECT_EQ(probe.refusals, (std::vector<Errc>{Errc::kNotMember}));
 }
 
+TEST(Replicated, LeafRejectsBcastFromNonMember) {
+  // The star's twin of ServerClient.BcastFromNonMemberRejected: a leaf
+  // answers a multicast from a client that never joined with kNotMember
+  // and forwards nothing to the coordinator.
+  std::vector<Status> replies;
+  CoronaClient::Callbacks cb;
+  cb.on_reply = [&](RequestId, Status s) { replies.push_back(s); };
+  ReplicatedWorld w(2, 1, ReplicaConfig{}, cb);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).bcast_update(kG, kObj, to_bytes("x"));
+  w.settle();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(replies[0].is_ok());
+  EXPECT_EQ(replies[1].code, Errc::kNotMember);
+  EXPECT_EQ(w.servers[1]->stats().forwarded, 0u);
+}
+
 TEST(Replicated, CoordinatorBoundedRetransmitCarriesUpdates) {
   // The COORDINATOR's retransmit handler (coord_handle_state_query) is a
   // separate code path from the leaf handler the test above exercises: a

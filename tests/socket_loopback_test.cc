@@ -5,7 +5,13 @@
 // transfer, >100 sequenced multicasts in identical total order, locks, a
 // dropped-and-reconnected client resyncing via retransmission, and leave.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -36,6 +42,24 @@ bool wait_until(const std::function<bool()>& pred,
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return pred();
+}
+
+// A raw TCP socket bound to an ephemeral 127.0.0.1 port, not listening yet,
+// so tests can play a peer whose accept queue they control.  Returns the fd
+// (or -1) and stores the bound address in *addr.
+int bind_loopback(sockaddr_in* addr) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  *addr = sockaddr_in{};
+  addr->sin_family = AF_INET;
+  addr->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(*addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(addr), len) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 // One client "process": its own SocketRuntime whose address book holds just
@@ -595,6 +619,238 @@ TEST(SocketLoopback, WriteBackpressureDrainsViaEpollout) {
   EXPECT_TRUE(wait_until([&] { return sender.journal_size() >= kBurst; }));
   EXPECT_EQ(server_rt.stats().messages_dropped, 0u);
   server_rt.stop();  // the loop reads `store`, which dies before server_rt
+}
+
+TEST(SocketLoopback, FanoutToOneConnectionIsOneGatheredWrite) {
+  // One client runtime hosts every member, so the server reaches all of
+  // them over one connection.  A multicast's fan-out is queued in one loop
+  // turn and must leave in one gathered write, not one sendmsg per member,
+  // at the default batch size of 1.
+  GroupStore store;
+  CoronaServer server(ServerConfig{}, &store);
+  SocketRuntime server_rt;
+  server_rt.add_node(kServerId, &server);
+  auto port = server_rt.listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.is_ok()) << port.status().to_string();
+  server_rt.start();
+
+  constexpr std::size_t kMembers = 16;
+  std::mutex mu;
+  std::vector<std::vector<SeqNo>> journals(kMembers);
+  std::size_t joined = 0;
+  std::size_t replies = 0;
+  std::vector<std::unique_ptr<CoronaClient>> members;
+  SocketRuntime client_rt;  // declared last: its loop stops first
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    CoronaClient::Callbacks cb;
+    cb.on_deliver = [&, i](GroupId, const UpdateRecord& rec) {
+      std::lock_guard<std::mutex> lock(mu);
+      journals[i].push_back(rec.seq);
+    };
+    cb.on_joined = [&](GroupId, Status s) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (s.is_ok()) ++joined;
+    };
+    cb.on_reply = [&](RequestId, Status s) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (s.is_ok()) ++replies;
+    };
+    members.push_back(std::make_unique<CoronaClient>(kServerId, cb));
+    client_rt.add_node(NodeId{100 + i}, members.back().get());
+  }
+  client_rt.set_peer_address(kServerId, Endpoint{"127.0.0.1", port.value()});
+  client_rt.start();
+  const auto holds = [&](const std::function<bool()>& pred) {
+    std::lock_guard<std::mutex> lock(mu);
+    return pred();
+  };
+
+  members[0]->create_group(kG, "g", true);
+  ASSERT_TRUE(wait_until([&] { return holds([&] { return replies >= 1; }); }));
+  for (const auto& m : members) m->join(kG);
+  ASSERT_TRUE(
+      wait_until([&] { return holds([&] { return joined == kMembers; }); }));
+  // The last join reply can reach its member a moment before the server's
+  // loop counts its write; let the counters settle.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const SocketRuntime::Stats before = server_rt.stats();
+
+  members[0]->bcast_update(kG, kObj, to_bytes("x"));
+  ASSERT_TRUE(wait_until([&] {
+    return server_rt.stats().frames_sent >= before.frames_sent + kMembers &&
+           holds([&] {
+             return std::all_of(journals.begin(), journals.end(),
+                                [](const auto& j) { return !j.empty(); });
+           });
+  }));
+  const SocketRuntime::Stats after = server_rt.stats();
+  client_rt.stop();
+  server_rt.stop();
+
+  EXPECT_EQ(after.frames_sent - before.frames_sent, kMembers);
+  EXPECT_LE(after.writev_calls - before.writev_calls, 2u)
+      << "the fan-out to one connection took one sendmsg per frame";
+  ASSERT_EQ(journals[0].size(), 1u);
+  for (const auto& j : journals) EXPECT_EQ(j, journals[0]);
+}
+
+TEST(SocketLoopback, BatchToDownPeerWaitsForTheDial) {
+  // A batch sent while its book peer is down waits in the peer's pending
+  // queue and goes out whole and in order once a redial succeeds.
+  SocketRuntime probe;
+  auto port = probe.listen("127.0.0.1", 0);  // reserve an ephemeral port
+  ASSERT_TRUE(port.is_ok());
+  const std::uint16_t p = port.value();
+  probe.stop();  // nothing listens there now
+
+  SinkNode unused;
+  SocketRuntimeConfig cfg;
+  cfg.reconnect_backoff_min = 500 * kMillisecond;
+  SocketRuntime sender_rt(cfg);
+  sender_rt.add_node(NodeId{100}, &unused);
+  sender_rt.set_peer_address(kServerId, Endpoint{"127.0.0.1", p});
+  sender_rt.start();
+  // The first dial is refused; the redial waits out the backoff.
+  ASSERT_TRUE(wait_until(
+      [&] { return sender_rt.stats().reconnects_scheduled >= 1; }));
+
+  Message m;
+  m.type = MsgType::kHeartbeat;
+  std::vector<Message> batch(3, m);
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].seq = i + 1;
+  sender_rt.send_batch(NodeId{100}, kServerId, batch);
+
+  SinkNode sink;
+  SocketRuntime server_rt;
+  server_rt.add_node(kServerId, &sink);
+  auto rebind = server_rt.listen("127.0.0.1", p);
+  ASSERT_TRUE(rebind.is_ok()) << rebind.status().to_string();
+  server_rt.start();
+  ASSERT_TRUE(wait_until([&] { return sink.count() >= 3; }));
+
+  sender_rt.stop();
+  server_rt.stop();
+  EXPECT_EQ(sink.seqs, (std::vector<SeqNo>{1, 2, 3}));
+  EXPECT_EQ(sender_rt.stats().messages_dropped, 0u);
+}
+
+TEST(SocketLoopback, FramesHeldForDownPeerGoAheadOfFramesQueuedOnTheDial) {
+  // A send while the book peer is down waits in the peer's pending queue; a
+  // send while the redial is still connecting waits on that connection.
+  // The held frame is older, so it must reach the wire first.  A listener
+  // whose accept queue is full keeps the redial connecting: the kernel
+  // drops its SYN until the queue has room and the SYN is resent.
+  sockaddr_in addr{};
+  const int lfd = bind_loopback(&addr);
+  ASSERT_GE(lfd, 0);
+
+  // Bound but not listening: the first dial is refused.
+  SinkNode unused;
+  SocketRuntimeConfig cfg;
+  cfg.reconnect_backoff_min = 500 * kMillisecond;
+  SocketRuntime sender_rt(cfg);
+  sender_rt.add_node(NodeId{100}, &unused);
+  sender_rt.set_peer_address(
+      kServerId, Endpoint{"127.0.0.1", ntohs(addr.sin_port)});
+  sender_rt.start();
+  ASSERT_TRUE(wait_until(
+      [&] { return sender_rt.stats().reconnects_scheduled >= 1; }));
+  Message m;
+  m.type = MsgType::kHeartbeat;
+  m.seq = 1;
+  sender_rt.send(NodeId{100}, kServerId, m);  // held: the peer is down
+
+  // Backlog 0 holds one connection; the filler takes that slot.
+  ASSERT_EQ(::listen(lfd, 0), 0);
+  const int filler = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(filler, 0);
+  ASSERT_EQ(
+      ::connect(filler, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_TRUE(wait_until(
+      [&] { return sender_rt.stats().connects_attempted >= 2; }));
+  m.seq = 2;
+  sender_rt.send(NodeId{100}, kServerId, m);  // queued on the pending dial
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(sender_rt.stats().connects_ok, 0u) << "the redial was not held";
+
+  // Free the slot; the resent SYN completes the redial.
+  const int filler_conn = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(filler_conn, 0);
+  ::close(filler_conn);
+  ::close(filler);
+  pollfd pl{lfd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pl, 1, 30000), 1) << "the redial never connected";
+  const int conn = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(conn, 0);
+
+  FrameDecoder decoder(kDefaultMaxFrameBytes);
+  std::vector<SeqNo> seqs;
+  std::uint8_t buf[4096];
+  pollfd pc{conn, POLLIN, 0};
+  while (seqs.size() < 2 && ::poll(&pc, 1, 30000) == 1) {
+    const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    decoder.feed(buf, static_cast<std::size_t>(n));
+    Frame frame;
+    while (decoder.next(&frame) == FrameDecoder::Next::kFrame) {
+      if (frame.kind != FrameKind::kMessage) continue;
+      auto decoded = Message::decode(frame.message_wire);
+      ASSERT_TRUE(decoded.is_ok());
+      seqs.push_back(decoded.value().seq);
+    }
+  }
+  sender_rt.stop();
+  ::close(conn);
+  ::close(lfd);
+  EXPECT_EQ(seqs, (std::vector<SeqNo>{1, 2}));
+}
+
+// Holds its runtime's loop inside on_timer until released.
+struct StallNode final : Node {
+  std::atomic<bool> stalled{false};
+  std::atomic<bool> release{false};
+  void on_message(NodeId, const Message&) override {}
+  void on_timer(std::uint64_t) override {
+    stalled = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+};
+
+TEST(SocketLoopback, WriteToResetConnectionTearsItDown) {
+  // The peer resets the connection while the loop is busy, and a send is
+  // queued behind the reset.  The loop then writes before it reads, so
+  // sendmsg fails with ECONNRESET or EPIPE, not EAGAIN: the connection must
+  // be torn down, not written again and again.
+  sockaddr_in addr{};
+  const int lfd = bind_loopback(&addr);
+  ASSERT_GE(lfd, 0);
+  ASSERT_EQ(::listen(lfd, 8), 0);
+
+  StallNode node;
+  SocketRuntime rt;
+  rt.add_node(NodeId{100}, &node);
+  rt.set_peer_address(kServerId, Endpoint{"127.0.0.1", ntohs(addr.sin_port)});
+  rt.start();
+  pollfd pl{lfd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pl, 1, 30000), 1);
+  const int peer = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  ASSERT_TRUE(wait_until([&] { return rt.stats().connects_ok >= 1; }));
+
+  rt.set_timer(NodeId{100}, 0, 1);
+  ASSERT_TRUE(wait_until([&] { return node.stalled.load(); }));
+  const linger abortive{1, 0};
+  ::setsockopt(peer, SOL_SOCKET, SO_LINGER, &abortive, sizeof(abortive));
+  ::close(peer);  // sends RST
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Message m;
+  m.type = MsgType::kHeartbeat;
+  rt.send(NodeId{100}, kServerId, m);
+  node.release = true;
+
+  EXPECT_TRUE(wait_until([&] { return rt.stats().disconnects >= 1; }));
+  rt.stop();
+  ::close(lfd);
 }
 
 }  // namespace
