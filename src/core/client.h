@@ -13,8 +13,8 @@
 // applications (see examples/) layer meaning on the opaque object streams.
 //
 // Thread-safety: all operations and reads may be invoked from any thread
-// (the threaded runtime delivers messages on the client's own node thread
-// while the application drives the API from its thread).  Callbacks run
+// (the socket runtime delivers messages on its loop thread while the
+// application drives the API from its own thread).  Callbacks run
 // with the client lock held on the runtime's delivery thread; they may call
 // back into the client (the lock is recursive) but should not block.  The
 // lock is the annotated corona::RecursiveMutex (util/sync.h), so a clang

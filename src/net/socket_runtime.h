@@ -1,7 +1,7 @@
 // SocketRuntime — the deployable engine: real TCP, one epoll loop thread.
 //
-// The third Runtime implementation, next to SimRuntime (deterministic
-// discrete-event) and ThreadRuntime (one thread per node, in-process).  It
+// The second Runtime implementation, next to SimRuntime (deterministic
+// discrete-event), and the one that runs with real concurrency.  It
 // speaks the existing wire protocol (Message::encode()/decode()) over
 // length-prefixed frames (net/frame.h) on real point-to-point TCP
 // connections, so every transport-independent Node — CoronaServer,

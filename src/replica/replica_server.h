@@ -227,14 +227,14 @@ class ReplicaServer : public Node {
 
   // ====================== data =======================================
   ReplicaConfig cfg_;
-  // role_/coordinator_/term_ are written only by the owning node's thread
-  // but read cross-thread through the introspection getters (the threaded
-  // tests poll them mid-election), hence atomic.  This class deliberately
-  // holds NO lock: everything else is owned by the node's runtime thread
-  // (single-threaded by construction), so the annotated corona::Mutex
-  // discipline (util/sync.h, ANALYSIS.md §9) has nothing to guard here —
-  // any future cross-thread state must use corona::Mutex + GUARDED_BY, not
-  // more atomics.
+  // role_/coordinator_/term_ are written only by the runtime's loop thread
+  // but read cross-thread through the introspection getters (the
+  // SocketReplica tests poll is_coordinator() mid-election), hence atomic.
+  // This class deliberately holds NO lock: everything else is owned by the
+  // loop thread (single-threaded by construction), so the annotated
+  // corona::Mutex discipline (util/sync.h, ANALYSIS.md §9) has nothing to
+  // guard here — any future cross-thread state must use corona::Mutex +
+  // GUARDED_BY, not more atomics.
   std::atomic<Role> role_ = Role::kLeaf;
   std::atomic<NodeId> coordinator_;
   std::atomic<std::uint64_t> term_ = 0;  // announce/election term

@@ -3,17 +3,16 @@
 // Every Corona actor — client, stateful server, stateless baseline,
 // replicated leaf, coordinator — is a `Node`: an event-driven state machine
 // that reacts to messages and timers and emits sends through its `Runtime`.
-// Three engines implement Runtime:
+// Two engines implement Runtime:
 //
 //   * SimRuntime    — deterministic discrete-event execution over the
 //                     SimNetwork model (used by the paper benches and most
 //                     tests);
-//   * ThreadRuntime — one OS thread per node with bounded mailboxes (used by
-//                     integration tests to exercise real concurrency);
 //   * SocketRuntime — real TCP with one epoll loop thread (net/, the
-//                     deployable engine behind corona-serverd).
+//                     deployable engine behind corona-serverd, and the one
+//                     the concurrency tests run under tsan).
 //
-// Protocol code is identical under all three; nothing in src/core or
+// Protocol code is identical under both; nothing in src/core or
 // src/replica knows which engine is driving it.
 #pragma once
 
@@ -54,7 +53,7 @@ class Runtime {
 
   // Accounts `d` of CPU work to `node`'s host.  Under the simulator this
   // pushes the host's CPU timeline forward (the server's state-maintenance
-  // cost in Figure 3 flows through here); under the threaded engine the work
+  // cost in Figure 3 flows through here); under the socket engine the work
   // is real and this is a no-op.
   virtual void charge_cpu(NodeId node, Duration d) {
     (void)node;
@@ -74,7 +73,7 @@ class Runtime {
 
   // Point-to-point fan-out of ONE message to many peers.  Semantically
   // identical to this default loop — each target gets an ordinary send —
-  // but engines that serialize at the sender (thread, socket) override it
+  // but an engine that serializes at the sender (socket) overrides it
   // to encode `m` once and reuse the wire bytes for every target, instead
   // of paying one Message::encode per member.  Unlike multicast() this
   // never becomes an IP-multicast: use it where the recipients are real

@@ -21,6 +21,15 @@ class Decoder {
     if (!require(1)) return 0;
     return in_[pos_++];
   }
+  // A one-byte enum whose enumerators run from 0 to `last`.  A byte past
+  // `last` trips ok() like a malformed buffer, so no unnamed value reaches
+  // a switch over the enum.
+  template <typename E>
+  E get_enum(E last) {
+    const std::uint8_t v = get_u8();
+    if (v > static_cast<std::uint8_t>(last)) ok_ = false;
+    return static_cast<E>(v);
+  }
   bool get_bool() { return get_u8() != 0; }
   std::uint32_t get_u32() { return static_cast<std::uint32_t>(get_varint()); }
   std::uint64_t get_u64() { return get_varint(); }

@@ -70,7 +70,7 @@ void encode_update(Encoder& e, const UpdateRecord& u) {
 UpdateRecord decode_update(Decoder& d) {
   UpdateRecord u;
   u.seq = d.get_u64();
-  u.kind = static_cast<PayloadKind>(d.get_u8());
+  u.kind = d.get_enum(PayloadKind::kUpdate);
   u.object = ObjectId(d.get_u64());
   u.data = d.get_bytes();
   u.sender = NodeId(d.get_u64());
@@ -172,8 +172,8 @@ Result<Message> Message::decode(BytesView wire) {
     return Status::error(Errc::kCorrupt, "bad wire version");
   }
   Message m;
-  m.type = static_cast<MsgType>(d.get_u8());
-  m.fwd_type = static_cast<MsgType>(d.get_u8());
+  m.type = d.get_enum(MsgType::kDigestReply);
+  m.fwd_type = d.get_enum(MsgType::kDigestReply);
   m.group = GroupId(d.get_u64());
   m.object = ObjectId(d.get_u64());
   m.seq = d.get_u64();
@@ -187,9 +187,9 @@ Result<Message> Message::decode(BytesView wire) {
   m.persistent = d.get_bool();
   m.accept = d.get_bool();
   m.notify_membership = d.get_bool();
-  m.kind = static_cast<PayloadKind>(d.get_u8());
-  m.role = static_cast<MemberRole>(d.get_u8());
-  m.status = static_cast<Errc>(d.get_u8());
+  m.kind = d.get_enum(PayloadKind::kUpdate);
+  m.role = d.get_enum(MemberRole::kObserver);
+  m.status = d.get_enum(Errc::kUnavailable);
   m.text = d.get_string();
   m.payload = d.get_bytes();
 
@@ -223,7 +223,7 @@ Result<Message> Message::decode(BytesView wire) {
   for (std::uint32_t i = 0; i < n_members && d.ok(); ++i) {
     MemberInfo mi;
     mi.node = NodeId(d.get_u64());
-    mi.role = static_cast<MemberRole>(d.get_u8());
+    mi.role = d.get_enum(MemberRole::kObserver);
     m.members.push_back(mi);
   }
 
@@ -245,7 +245,7 @@ Result<Message> Message::decode(BytesView wire) {
     m.u64s.push_back(d.get_u64());
   }
 
-  m.policy.mode = static_cast<TransferMode>(d.get_u8());
+  m.policy.mode = d.get_enum(TransferMode::kNothing);
   m.policy.last_n = d.get_u32();
   const std::uint32_t n_objs = d.get_u32();
   if (!d.ok() || n_objs > d.remaining() + 1) {

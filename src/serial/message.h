@@ -23,6 +23,8 @@ namespace corona {
 // ---------------------------------------------------------------------------
 // Enums
 // ---------------------------------------------------------------------------
+// Decoding rejects a byte past an enum's last enumerator (message.cc names
+// each bound, Errc's too), so a new enumerator goes last and moves the bound.
 
 enum class MsgType : std::uint8_t {
   kInvalid = 0,

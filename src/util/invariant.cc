@@ -30,8 +30,8 @@ void default_handler(const char* file, int line, const char* expr,
   std::abort();
 }
 
-// Atomic so a test swapping the handler is visible to node threads under
-// ThreadRuntime without a data race.  A single word needs no corona::Mutex
+// Atomic so a test swapping the handler is visible to SocketRuntime loop
+// threads without a data race.  A single word needs no corona::Mutex
 // (util/sync.h); anything richer than one pointer would.
 std::atomic<InvariantHandler> g_handler{&default_handler};
 

@@ -1,8 +1,8 @@
 // Minimal leveled logging.
 //
 // Protocol code logs through this facade; tests run silent by default and a
-// bench/example can raise the level to watch a timeline.  Thread-safe: the
-// threaded runtime logs from many node threads.
+// bench/example can raise the level to watch a timeline.  Thread-safe:
+// SocketRuntime loop threads and application threads may log at once.
 #pragma once
 
 #include <sstream>
@@ -26,8 +26,9 @@ class Logger {
 
  private:
   Logger() = default;
-  // The logger is shared by every node thread under ThreadRuntime, so line
-  // assembly must be serialized; it never feeds back into protocol state.
+  // The logger is shared by every SocketRuntime loop thread in a process
+  // (and the application's own threads), so line assembly must be
+  // serialized; it never feeds back into protocol state.
   mutable Mutex mu_;
   LogLevel level_ CORONA_GUARDED_BY(mu_) = LogLevel::kWarn;
 };

@@ -1,5 +1,5 @@
-// corona::Mutex / corona::MutexLock / corona::CondVar — the only sanctioned
-// locking primitives in src/ (corona-lint's `raw-mutex` rule enforces this;
+// corona::Mutex / corona::MutexLock — the only sanctioned locking
+// primitives in src/ (corona-lint's `raw-mutex` rule enforces this;
 // docs/ANALYSIS.md §9).
 //
 // The wrappers carry Clang Thread Safety Analysis attributes, so a clang
@@ -20,12 +20,7 @@
 // primitives; everything else goes through it.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
 #include <mutex>
-
-#include "util/time.h"
 
 // ---------------------------------------------------------------------------
 // Attribute macros (no-ops outside clang).
@@ -43,7 +38,7 @@
 // A type that is a lockable capability ("mutex" names it in diagnostics).
 #define CORONA_CAPABILITY(name) CORONA_TSA(capability(name))
 // An RAII type that acquires in its constructor and releases in its
-// destructor (clang tracks what it holds across manual unlock()/lock()).
+// destructor.
 #define CORONA_SCOPED_CAPABILITY CORONA_TSA(scoped_lockable)
 // Field may only be read/written with the named mutex held.
 #define CORONA_GUARDED_BY(x) CORONA_TSA(guarded_by(x))
@@ -66,8 +61,6 @@
 #define CORONA_NO_THREAD_SAFETY_ANALYSIS CORONA_TSA(no_thread_safety_analysis)
 
 namespace corona {
-
-class CondVar;
 
 // Plain exclusive mutex.  Prefer the RAII MutexLock; lock()/unlock() exist
 // for the rare hand-over-hand pattern and stay annotation-checked.
@@ -102,10 +95,7 @@ class CORONA_CAPABILITY("mutex") RecursiveMutex {
   std::recursive_mutex mu_;
 };
 
-// RAII scope over a Mutex.  Supports the manual unlock()/lock() window the
-// worker loops need (run a handler outside the lock, retake it after) and
-// is the handle CondVar::wait operates on — both stay visible to the
-// analysis through the ACQUIRE/RELEASE annotations.
+// RAII scope over a Mutex.
 class CORONA_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) CORONA_ACQUIRE(mu) : lk_(mu.mu_) {}
@@ -114,13 +104,8 @@ class CORONA_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  // Temporarily exit / re-enter the critical section mid-scope.
-  void unlock() CORONA_RELEASE() { lk_.unlock(); }
-  void lock() CORONA_ACQUIRE() { lk_.lock(); }
-
  private:
-  friend class CondVar;
-  std::unique_lock<std::mutex> lk_;
+  std::lock_guard<std::mutex> lk_;
 };
 
 // RAII scope over a RecursiveMutex.
@@ -135,32 +120,6 @@ class CORONA_SCOPED_CAPABILITY RecursiveMutexLock {
 
  private:
   std::unique_lock<std::recursive_mutex> lk_;
-};
-
-// Condition variable bound to MutexLock scopes.  wait() atomically releases
-// and reacquires the scope's mutex; from the caller's (and the analysis')
-// point of view the lock is held before and after, which is exactly the
-// invariant guarded fields need across a wait loop.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(MutexLock& scope) { cv_.wait(scope.lk_); }
-
-  // Duration is corona's integral-microseconds vocabulary (util/time.h).
-  // Returns false on timeout, true when notified.
-  bool wait_for(MutexLock& scope, Duration timeout_us) {
-    return cv_.wait_for(scope.lk_, std::chrono::microseconds(timeout_us)) ==
-           std::cv_status::no_timeout;
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace corona

@@ -2,7 +2,7 @@
 //
 // All protocol code measures time in integral microseconds of *virtual* time
 // supplied by its Runtime.  Under the discrete-event engine this is the event
-// clock; under the threaded engine it is a steady clock.  Using a plain
+// clock; under the socket engine it is a steady clock.  Using a plain
 // integral type (rather than std::chrono) keeps serialization and event-queue
 // keys trivial, but the unit is fixed here in one place.
 #pragma once

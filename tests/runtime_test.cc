@@ -1,11 +1,10 @@
-// Tests for the two execution engines: deterministic SimRuntime and the
-// concurrent ThreadRuntime.  The same PingPong nodes run under both.
+// Tests for the deterministic SimRuntime engine: message delivery, virtual
+// time, timers, crash/restart, CPU charging and the disk timeline.  The
+// concurrent SocketRuntime is covered over real TCP by socket_loopback_test
+// and socket_replica_test.
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "runtime/sim_runtime.h"
-#include "runtime/thread_runtime.h"
 
 namespace corona {
 namespace {
@@ -41,7 +40,7 @@ class PingPong : public Node {
   NodeId peer_;
   SeqNo limit_;
   bool initiator_;
-  std::atomic<SeqNo> last_seen_{0};
+  SeqNo last_seen_ = 0;
 };
 
 TEST(SimRuntime, PingPongRuns) {
@@ -174,102 +173,6 @@ TEST(SimRuntime, DiskWritesSerialize) {
   EXPECT_GT(t2, t1);
   ASSERT_NE(rt.disk_of(NodeId{1}), nullptr);
   EXPECT_EQ(rt.disk_of(NodeId{1})->bytes_written(), 8000u);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadRuntime: the same protocol code under real threads.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadRuntime, PingPongRuns) {
-  ThreadRuntime rt;
-  PingPong a(NodeId{2}, 50, true);
-  PingPong b(NodeId{1}, 50, false);
-  rt.add_node(NodeId{1}, &a);
-  rt.add_node(NodeId{2}, &b);
-  rt.start();
-  ASSERT_TRUE(rt.wait_quiescent(5 * kSecond));
-  rt.stop();
-  EXPECT_EQ(a.last_seen(), 50u);
-}
-
-class ThreadTimerNode : public Node {
- public:
-  std::atomic<int> fired{0};
-  void on_start() override { set_timer(10 * kMillisecond, 1); }
-  void on_message(NodeId, const Message&) override {}
-  void on_timer(std::uint64_t) override { fired.fetch_add(1); }
-};
-
-TEST(ThreadRuntime, TimersFire) {
-  ThreadRuntime rt;
-  ThreadTimerNode n;
-  rt.add_node(NodeId{1}, &n);
-  rt.start();
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (n.fired.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  rt.stop();
-  EXPECT_EQ(n.fired.load(), 1);
-}
-
-TEST(ThreadRuntime, CrashSuppressesDelivery) {
-  ThreadRuntime rt;
-  Counter a, b;
-  rt.add_node(NodeId{1}, &a);
-  rt.add_node(NodeId{2}, &b);
-  rt.crash(NodeId{2});
-  rt.start();
-  Message m;
-  m.type = MsgType::kDeliver;
-  rt.send(NodeId{1}, NodeId{2}, m);
-  rt.wait_quiescent(1 * kSecond);
-  rt.stop();
-  EXPECT_EQ(b.received, 0);
-}
-
-TEST(ThreadRuntime, RestoreLiftsCrashSuppression) {
-  // crash() must drop traffic in both directions; restore() must undo it
-  // completely, including for nodes crashed more than once.
-  ThreadRuntime rt;
-  Counter a, b;
-  rt.add_node(NodeId{1}, &a);
-  rt.add_node(NodeId{2}, &b);
-  rt.start();
-  Message m;
-  m.type = MsgType::kDeliver;
-
-  rt.crash(NodeId{2});
-  rt.crash(NodeId{2});  // double-crash must not confuse bookkeeping
-  rt.send(NodeId{1}, NodeId{2}, m);  // dropped: receiver crashed
-  rt.send(NodeId{2}, NodeId{1}, m);  // dropped: sender crashed
-  ASSERT_TRUE(rt.wait_quiescent(1 * kSecond));
-
-  rt.restore(NodeId{2});
-  rt.send(NodeId{1}, NodeId{2}, m);
-  rt.send(NodeId{2}, NodeId{1}, m);
-  ASSERT_TRUE(rt.wait_quiescent(1 * kSecond));
-  rt.stop();
-  EXPECT_EQ(a.received, 1);
-  EXPECT_EQ(b.received, 1);
-}
-
-TEST(ThreadRuntime, ManyNodesManyMessages) {
-  // 8 nodes all ping node 1; checks mailbox thread-safety under load.
-  ThreadRuntime rt;
-  Counter sink;
-  std::vector<std::unique_ptr<PingPong>> sources;
-  rt.add_node(NodeId{1}, &sink);
-  for (std::uint64_t i = 2; i <= 9; ++i) {
-    sources.push_back(std::make_unique<PingPong>(NodeId{1}, 0, true));
-    rt.add_node(NodeId{i}, sources.back().get());
-  }
-  rt.start();
-  ASSERT_TRUE(rt.wait_quiescent(5 * kSecond));
-  rt.stop();
-  EXPECT_EQ(sink.received, 8);
 }
 
 }  // namespace

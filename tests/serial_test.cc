@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "serial/decoder.h"
 #include "serial/encoder.h"
 #include "serial/message.h"
@@ -175,6 +178,57 @@ TEST(Message, DecodeRejectsTruncation) {
   }
 }
 
+// Each enum field the message carries, set to its last enumerator (which
+// decodes) and to one past it (rejected as corrupt, not decoded into an
+// unnamed value that some switch would then fall through).
+TEST(Message, DecodeRejectsOutOfRangeEnums) {
+  struct Case {
+    const char* field;
+    int last;
+    std::function<void(Message&, std::uint8_t)> set;
+  };
+  const std::vector<Case> cases = {
+      {"type", static_cast<int>(MsgType::kDigestReply),
+       [](Message& m, std::uint8_t v) { m.type = static_cast<MsgType>(v); }},
+      {"fwd_type", static_cast<int>(MsgType::kDigestReply),
+       [](Message& m, std::uint8_t v) {
+         m.fwd_type = static_cast<MsgType>(v);
+       }},
+      {"kind", static_cast<int>(PayloadKind::kUpdate),
+       [](Message& m, std::uint8_t v) {
+         m.kind = static_cast<PayloadKind>(v);
+       }},
+      {"role", static_cast<int>(MemberRole::kObserver),
+       [](Message& m, std::uint8_t v) {
+         m.role = static_cast<MemberRole>(v);
+       }},
+      {"status", static_cast<int>(Errc::kUnavailable),
+       [](Message& m, std::uint8_t v) { m.status = static_cast<Errc>(v); }},
+      {"members[].role", static_cast<int>(MemberRole::kObserver),
+       [](Message& m, std::uint8_t v) {
+         m.members.back().role = static_cast<MemberRole>(v);
+       }},
+      {"updates[].kind", static_cast<int>(PayloadKind::kUpdate),
+       [](Message& m, std::uint8_t v) {
+         m.updates.back().kind = static_cast<PayloadKind>(v);
+       }},
+      {"policy.mode", static_cast<int>(TransferMode::kNothing),
+       [](Message& m, std::uint8_t v) {
+         m.policy.mode = static_cast<TransferMode>(v);
+       }},
+  };
+  for (const Case& c : cases) {
+    Message m = sample_deliver();
+    m.updates.push_back(UpdateRecord{});
+    m.members.push_back(MemberInfo{NodeId{100}, MemberRole::kPrincipal});
+    c.set(m, static_cast<std::uint8_t>(c.last));
+    EXPECT_TRUE(Message::decode(m.encode()).is_ok()) << c.field;
+    c.set(m, static_cast<std::uint8_t>(c.last + 1));
+    EXPECT_EQ(Message::decode(m.encode()).status().code, Errc::kCorrupt)
+        << c.field;
+  }
+}
+
 TEST(Message, WireSizeMatchesEncoding) {
   const Message m = sample_deliver();
   EXPECT_EQ(m.wire_size(), m.encode().size());
@@ -211,6 +265,15 @@ TEST(RecordCodec, CorruptRecordRejected) {
   Bytes wire = encode_update_record(UpdateRecord{});
   wire.pop_back();
   EXPECT_FALSE(decode_update_record(wire).is_ok());
+}
+
+TEST(RecordCodec, OutOfRangePayloadKindRejected) {
+  UpdateRecord u;
+  u.kind = PayloadKind::kUpdate;
+  EXPECT_TRUE(decode_update_record(encode_update_record(u)).is_ok());
+  u.kind = static_cast<PayloadKind>(static_cast<int>(PayloadKind::kUpdate) + 1);
+  EXPECT_EQ(decode_update_record(encode_update_record(u)).status().code,
+            Errc::kCorrupt);
 }
 
 // Property sweep: randomized messages round-trip for a range of payload

@@ -516,6 +516,43 @@ TEST(SocketLoopback, BatchOfOneStillDelivers) {
   EXPECT_EQ(server_rt.stats().messages_dropped, 0u);
 }
 
+TEST(SocketLoopback, OutOfRangeEnumIsACorruptFrame) {
+  // A message whose type byte is past the last MsgType decodes no better
+  // than a truncated one: the receiver counts a corrupt frame, tears the
+  // connection down, and delivers nothing.
+  SocketRuntime server_rt;
+  SinkNode sink;
+  server_rt.add_node(kServerId, &sink);
+  auto port = server_rt.listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.is_ok()) << port.status().to_string();
+  server_rt.start();
+
+  SocketRuntime sender_rt;
+  SinkNode unused;
+  sender_rt.add_node(NodeId{100}, &unused);
+  sender_rt.set_peer_address(kServerId, Endpoint{"127.0.0.1", port.value()});
+  sender_rt.start();
+
+  Message good;
+  good.type = MsgType::kHeartbeat;
+  good.seq = 1;
+  sender_rt.send(NodeId{100}, kServerId, good);
+  ASSERT_TRUE(wait_until([&] { return sink.count() >= 1; }));
+
+  Message bad = good;
+  bad.seq = 2;
+  bad.type =
+      static_cast<MsgType>(static_cast<int>(MsgType::kDigestReply) + 1);
+  sender_rt.send(NodeId{100}, kServerId, bad);
+  ASSERT_TRUE(
+      wait_until([&] { return server_rt.stats().corrupt_frames >= 1; }));
+  EXPECT_TRUE(wait_until([&] { return server_rt.stats().disconnects >= 1; }));
+
+  sender_rt.stop();
+  server_rt.stop();
+  EXPECT_EQ(sink.seqs, (std::vector<SeqNo>{1}));
+}
+
 TEST(SocketLoopback, StopWhileRedialTimerPending) {
   // Shutdown-ordering: stop() must join the loop cleanly while the
   // reconnect-backoff timer is armed and a connect may be in flight.

@@ -4,19 +4,18 @@
 The simulator must be bit-reproducible: the same seed must yield the same
 event trace, the same stats, the same bytes.  Most determinism bugs enter
 through a handful of C++ constructs, so this lint bans them mechanically,
-with per-directory scoping (the thread runtime is *allowed* to use real
-clocks and threads — that is its job).
+with per-directory scoping (the socket transport in net/ is *allowed* to
+use real clocks and threads — that is its job).
 
 Rules (see docs/ANALYSIS.md for the full contract):
 
-  wall-clock     src/** except runtime/thread_runtime.* and net/
+  wall-clock     src/** except net/
                  No std::chrono::{system,steady,high_resolution}_clock,
                  time(), gettimeofday, clock_gettime, localtime, gmtime.
                  Sim-visible code must read time from its injected Runtime.
-                 (net/ is a real transport: wall-clock is its job, like the
-                 thread runtime.)
+                 (net/ is a real transport: wall-clock is its job.)
 
-  raw-random     src/** except runtime/thread_runtime.*
+  raw-random     src/** (no exemption)
                  No rand()/srand()/drand48, std::random_device, std::mt19937.
                  All randomness flows through the seeded util/rng.h.
                  net/ is NOT exempt: reconnect backoff etc. must be
@@ -43,17 +42,18 @@ Rules (see docs/ANALYSIS.md for the full contract):
                  the erase() return value.  Waive with `erase-ok` only when
                  the loop provably exits right after (e.g. erase+break).
 
-  raw-thread     src/** except src/runtime and src/net
+  raw-thread     src/** except src/net
                  No std::thread/std::jthread/std::mutex/std::shared_mutex/
                  std::recursive_mutex/std::condition_variable/std::async.
-                 Concurrency lives in the runtime and transport layers only.
+                 Concurrency lives in the transport layer only: the socket
+                 runtime's loop thread is the one thread src/ starts.
 
   raw-mutex      src/** except src/util/sync.h
                  No std::mutex/std::recursive_mutex/std::lock_guard/
                  std::unique_lock/std::scoped_lock/std::condition_variable —
-                 not even in the runtime/transport layers that raw-thread
+                 not even in the transport layer that raw-thread
                  exempts.  All locking goes through the annotated
-                 corona::Mutex/MutexLock/CondVar wrappers (util/sync.h) so
+                 corona::Mutex/MutexLock wrappers (util/sync.h) so
                  the clang -Wthread-safety build and tools/lint/
                  lock_order.py see every acquisition.  std::thread itself
                  stays raw-thread's business (spawning is not locking).
@@ -155,20 +155,20 @@ RULES = [
     Rule(
         "wall-clock",
         "clock",
-        everywhere_except("runtime/thread_runtime.", "net/"),
+        everywhere_except("net/"),
         re.compile(
             r"std::chrono::(?:system|steady|high_resolution)_clock"
             r"|\b(?:system|steady|high_resolution)_clock::"
             r"|\btime\s*\(\s*(?:NULL|nullptr|0|&|\))"
             r"|\bgettimeofday\b|\bclock_gettime\b|\blocaltime\b|\bgmtime\b"
         ),
-        "wall-clock access outside the thread runtime; sim-visible code must "
-        "use the injected Runtime clock (runtime/runtime.h)",
+        "wall-clock access outside the socket transport (net/); sim-visible "
+        "code must use the injected Runtime clock (runtime/runtime.h)",
     ),
     Rule(
         "raw-random",
         "random",
-        everywhere_except("runtime/thread_runtime."),
+        everywhere_except(),  # no exemption, not even net/
         re.compile(
             r"\b(?:s?rand)\s*\(|\bd?rand48\b"
             r"|std::random_device|\brandom_device\b|std::mt19937"
@@ -188,14 +188,14 @@ RULES = [
     Rule(
         "raw-thread",
         "thread",
-        everywhere_except("runtime/", "net/"),
+        everywhere_except("net/"),
         re.compile(
             r"std::(?:jthread|thread|mutex|shared_mutex|recursive_mutex|"
             r"timed_mutex|condition_variable|async)\b"
         ),
-        "raw threading primitive outside src/runtime/; protocol code is "
+        "raw threading primitive outside src/net/; protocol code is "
         "single-threaded by construction — concurrency belongs to the "
-        "runtime layer",
+        "socket transport",
     ),
     Rule(
         "raw-mutex",
@@ -207,7 +207,7 @@ RULES = [
             r"scoped_lock|shared_lock|condition_variable(?:_any)?)\b"
         ),
         "raw std locking primitive; all locking goes through the annotated "
-        "corona::Mutex/MutexLock/CondVar wrappers (util/sync.h) so the "
+        "corona::Mutex/MutexLock wrappers (util/sync.h) so the "
         "clang thread-safety build and lock_order.py can see it",
     ),
     Rule(

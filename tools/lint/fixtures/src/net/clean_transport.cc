@@ -1,7 +1,7 @@
 // Fixture: src/net/ is a real transport — wall clocks and threading
-// primitives are its job (like the thread runtime) and must lint clean
-// without waivers.  Randomness stays banned there, and locking still goes
-// through the annotated corona wrappers (raw-mutex applies even here).
+// primitives are its job and must lint clean without waivers.  Randomness
+// stays banned there, and locking still goes through the annotated corona
+// wrappers (raw-mutex applies even here).
 #include <chrono>
 #include <map>
 #include <thread>

@@ -56,10 +56,10 @@ class FixtureTree(unittest.TestCase):
             ("src/serial/bad_thread.cc", 7, "raw-thread"),
             ("src/serial/bad_thread.cc", 7, "raw-mutex"),
             ("src/serial/bad_thread.cc", 10, "raw-thread"),
-            ("src/runtime/bad_raw_mutex.cc", 10, "raw-mutex"),
-            ("src/runtime/bad_raw_mutex.cc", 11, "raw-mutex"),
-            ("src/runtime/bad_raw_mutex.cc", 14, "raw-mutex"),
-            ("src/runtime/bad_raw_mutex.cc", 18, "raw-mutex"),
+            ("src/net/bad_raw_mutex.cc", 10, "raw-mutex"),
+            ("src/net/bad_raw_mutex.cc", 11, "raw-mutex"),
+            ("src/net/bad_raw_mutex.cc", 14, "raw-mutex"),
+            ("src/net/bad_raw_mutex.cc", 18, "raw-mutex"),
             ("src/net/bad_net.cc", 9, "unordered-container"),
             ("src/net/bad_net.cc", 12, "raw-random"),
             ("src/net/bad_net.cc", 17, "unordered-iteration"),
@@ -73,10 +73,6 @@ class FixtureTree(unittest.TestCase):
             ("src/core/bad_dispatch.cc", 9, "dispatch-exhaustiveness"),
         }
         self.assertEqual(keyed(lint(FIXTURES)), expected)
-
-    def test_thread_runtime_is_exempt(self):
-        path = os.path.join(FIXTURES, "src", "runtime", "thread_runtime.cc")
-        self.assertEqual(lint(path), [])
 
     def test_net_transport_may_use_clocks_and_threads(self):
         path = os.path.join(FIXTURES, "src", "net", "clean_transport.cc")
@@ -94,10 +90,10 @@ class FixtureTree(unittest.TestCase):
         self.assertEqual(found, [(12, "erase-in-range-for"),
                                  (18, "erase-in-range-for")])
 
-    def test_raw_mutex_fires_in_runtime_but_waiver_silences(self):
-        # src/runtime/ escapes raw-thread but NOT raw-mutex; the line waiver
+    def test_raw_mutex_fires_in_net_but_waiver_silences(self):
+        # src/net/ escapes raw-thread but NOT raw-mutex; the line waiver
         # on the bridge() interop case must be honored.
-        path = os.path.join(FIXTURES, "src", "runtime", "bad_raw_mutex.cc")
+        path = os.path.join(FIXTURES, "src", "net", "bad_raw_mutex.cc")
         found = sorted((v.line, v.rule) for v in lint(path))
         self.assertEqual(found, [(10, "raw-mutex"), (11, "raw-mutex"),
                                  (14, "raw-mutex"), (18, "raw-mutex")])
