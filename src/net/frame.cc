@@ -1,50 +1,95 @@
 #include "net/frame.h"
 
+#include <algorithm>
+#include <cassert>
+
 #include "serial/decoder.h"
-#include "serial/encoder.h"
 
 namespace corona::net {
 
 namespace {
 
-// Prepends the 4-byte little-endian length to (kind + body).
+constexpr std::size_t kMaxVarintBytes = 10;  // 64 bits / 7, rounded up
+
+// Appends `v` as the LEB128 varint Encoder::put_u64 writes, so the frame
+// bodies decode with serial/decoder.h.
+void put_varint(Bytes& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
 // Frame codec: every FrameKind must be encodable and decodable here.
 // lint-dispatch: FrameKind
-Bytes finish_frame(FrameKind kind, const Bytes& body) {
-  const std::size_t len = 1 + body.size();
-  Bytes out;
-  out.reserve(kFrameLengthBytes + len);
-  out.push_back(static_cast<std::uint8_t>(len & 0xff));
-  out.push_back(static_cast<std::uint8_t>((len >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((len >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((len >> 24) & 0xff));
+//
+// A frame is built in one buffer, sized up front for a body of at most
+// `max_body` bytes: open_frame leaves room for the length and writes the
+// kind, the caller appends the body, and close_frame fills in the 4-byte
+// little-endian length of (kind + body).
+void open_frame(Bytes& out, FrameKind kind, std::size_t max_body) {
+  out.reserve(kFrameLengthBytes + 1 + max_body);
+  out.resize(kFrameLengthBytes);
   out.push_back(static_cast<std::uint8_t>(kind));
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+}
+
+void close_frame(Bytes& frame) {
+  const std::size_t len = frame.size() - kFrameLengthBytes;
+  for (std::size_t i = 0; i < kFrameLengthBytes; ++i) {
+    frame[i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+}
+
+// True when `ids` names some node twice.  The receiver delivers a frame's
+// message once per listed node, so a repeat would let a peer turn one
+// message into as many deliveries as a frame has room for ids.
+bool lists_a_node_twice(const std::vector<NodeId>& ids) {
+  if (ids.size() < 2) return false;
+  std::vector<NodeId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
 }
 
 }  // namespace
 
 Bytes encode_hello_frame(const std::vector<NodeId>& local_nodes) {
-  Encoder e;
-  e.put_u8(kFrameProtocolVersion);
-  e.put_u64(local_nodes.size());
-  for (NodeId id : local_nodes) e.put_u64(id.value);
-  return finish_frame(FrameKind::kHello, e.buffer());
+  Bytes out;
+  open_frame(out, FrameKind::kHello,
+             1 + kMaxVarintBytes * (1 + local_nodes.size()));
+  out.push_back(kFrameProtocolVersion);
+  put_varint(out, local_nodes.size());
+  for (NodeId id : local_nodes) put_varint(out, id.value);
+  close_frame(out);
+  return out;
 }
 
-Bytes encode_message_frame(NodeId from, NodeId to, BytesView message_wire) {
-  Encoder e;
-  e.put_u64(from.value);
-  e.put_u64(to.value);
-  Bytes body = e.take();
-  body.reserve(body.size() + message_wire.size());
-  body.insert(body.end(), message_wire.begin(), message_wire.end());
-  return finish_frame(FrameKind::kMessage, body);
+Bytes encode_message_frame(NodeId from, std::span<const NodeId> to,
+                           BytesView message_wire) {
+  assert(!to.empty() && "a message frame needs a target");
+  Bytes out;
+  open_frame(out, FrameKind::kMessage,
+             kMaxVarintBytes * (2 + to.size()) + message_wire.size());
+  put_varint(out, from.value);
+  put_varint(out, to.size());
+  for (NodeId id : to) put_varint(out, id.value);
+  out.insert(out.end(), message_wire.begin(), message_wire.end());
+  close_frame(out);
+  return out;
 }
 
-Bytes encode_ping_frame() { return finish_frame(FrameKind::kPing, {}); }
-Bytes encode_pong_frame() { return finish_frame(FrameKind::kPong, {}); }
+Bytes encode_ping_frame() {
+  Bytes out;
+  open_frame(out, FrameKind::kPing, 0);
+  close_frame(out);
+  return out;
+}
+Bytes encode_pong_frame() {
+  Bytes out;
+  open_frame(out, FrameKind::kPong, 0);
+  close_frame(out);
+  return out;
+}
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
   if (corrupt_ || n == 0) return;
@@ -78,21 +123,18 @@ FrameDecoder::Next FrameDecoder::next(Frame* out) {
   const auto kind_byte = buf_[pos_ + kFrameLengthBytes];
   pos_ += kFrameLengthBytes + len;
 
-  Frame frame;
   switch (static_cast<FrameKind>(kind_byte)) {
     case FrameKind::kHello:
     case FrameKind::kMessage:
     case FrameKind::kPing:
     case FrameKind::kPong:
-      frame.kind = static_cast<FrameKind>(kind_byte);
+      out->kind = static_cast<FrameKind>(kind_byte);
       break;
     default:
       corrupt_ = true;
       return Next::kCorrupt;
   }
-  const Next result = parse_body(body, &frame);
-  if (result == Next::kFrame) *out = std::move(frame);
-  return result;
+  return parse_body(body, out);
 }
 
 FrameDecoder::Next FrameDecoder::parse_body(BytesView body, Frame* out) {
@@ -108,6 +150,7 @@ FrameDecoder::Next FrameDecoder::parse_body(BytesView body, Frame* out) {
         corrupt_ = true;
         return Next::kCorrupt;
       }
+      out->hello_nodes.clear();
       out->hello_nodes.reserve(static_cast<std::size_t>(n));
       for (std::uint64_t i = 0; i < n; ++i) {
         out->hello_nodes.push_back(NodeId{d.get_u64()});
@@ -121,8 +164,19 @@ FrameDecoder::Next FrameDecoder::parse_body(BytesView body, Frame* out) {
     case FrameKind::kMessage: {
       Decoder d(body);
       out->from = NodeId{d.get_u64()};
-      out->to = NodeId{d.get_u64()};
-      if (!d.ok()) {
+      const std::uint64_t n = d.get_u64();
+      // At least one target, and the count is bounded by the bytes present
+      // as for the hello, so a lying count cannot trigger a huge allocation.
+      if (!d.ok() || n == 0 || n > d.remaining()) {
+        corrupt_ = true;
+        return Next::kCorrupt;
+      }
+      out->to.clear();
+      out->to.reserve(static_cast<std::size_t>(n));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        out->to.push_back(NodeId{d.get_u64()});
+      }
+      if (!d.ok() || lists_a_node_twice(out->to)) {
         corrupt_ = true;
         return Next::kCorrupt;
       }

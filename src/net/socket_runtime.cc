@@ -190,20 +190,7 @@ TimePoint SocketRuntime::now() const {
 }
 
 void SocketRuntime::send(NodeId from, NodeId to, const Message& m) {
-  if (stopping_.load()) {
-    counters_.messages_dropped.fetch_add(1);
-    return;
-  }
-  Op op;
-  op.kind = Op::Kind::kSend;
-  op.from = from;
-  op.to = to;
-  op.wire = m.encode();
-  {
-    MutexLock lock(mu_);
-    ops_.push_back(std::move(op));
-  }
-  wake();
+  post_send(from, {&to, 1}, m);
 }
 
 void SocketRuntime::send_batch(NodeId from, NodeId to,
@@ -232,20 +219,27 @@ void SocketRuntime::send_batch(NodeId from, NodeId to,
 
 void SocketRuntime::fanout(NodeId from, const std::vector<NodeId>& to,
                            const Message& m) {
-  if (to.empty()) return;
-  if (to.size() == 1) {
-    send(from, to.front(), m);
-    return;
-  }
+  if (!to.empty()) post_send(from, to, m);
+}
+
+// A send is a fan-out to one target: both encode once and queue one op,
+// which the loop expands in apply_send.  A lone target stays inline in the
+// op, so a send allocates no target list.
+void SocketRuntime::post_send(NodeId from, std::span<const NodeId> targets,
+                              const Message& m) {
   if (stopping_.load()) {
-    counters_.messages_dropped.fetch_add(to.size());
+    counters_.messages_dropped.fetch_add(targets.size());
     return;
   }
   Op op;
-  op.kind = Op::Kind::kFanout;
+  op.kind = Op::Kind::kSend;
   op.from = from;
+  if (targets.size() == 1) {
+    op.to = targets.front();
+  } else {
+    op.targets.assign(targets.begin(), targets.end());
+  }
   op.wire = m.encode();
-  op.targets = to;
   {
     MutexLock lock(mu_);
     ops_.push_back(std::move(op));
@@ -372,19 +366,10 @@ void SocketRuntime::drain_ops() {
     for (Op& op : batch) {
       switch (op.kind) {
         case Op::Kind::kSend:
-          apply_send(op.from, op.to, std::move(op.wire));
+          apply_send(op.from, op.send_targets(), std::move(op.wire));
           break;
         case Op::Kind::kSendBatch:
           apply_send_batch(op.from, op.to, std::move(op.wires));
-          break;
-        case Op::Kind::kFanout:
-          // Expands to per-target deliveries on the loop thread; the last
-          // target takes the shared wire buffer by move.
-          for (std::size_t i = 0; i < op.targets.size(); ++i) {
-            const bool last = i + 1 == op.targets.size();
-            apply_send(op.from, op.targets[i],
-                       last ? std::move(op.wire) : op.wire);
-          }
           break;
         case Op::Kind::kSetTimer:
           timers_[{op.deadline, op.handle}] = TimerRec{op.to, op.tag};
@@ -417,22 +402,53 @@ void SocketRuntime::drain_ops() {
   }
 }
 
-void SocketRuntime::apply_send(NodeId from, NodeId to, Bytes wire) {
-  // Loopback fast path: receiver lives in this process.  The encode/decode
-  // round trip still happened (wire was encoded inside send()), preserving
-  // the value-isolation the other engines give.
-  if (const auto it = nodes_.find(to); it != nodes_.end()) {
-    auto decoded = Message::decode(wire);
-    if (!decoded.is_ok()) {
-      counters_.corrupt_frames.fetch_add(1);
-      return;
+// The one send path.  Each target resolves once, in fan-out order: a node
+// hosted here gets the message at once; the targets behind one connection
+// (open or still dialing) share one frame that lists them in fan-out order;
+// a down book peer holds a frame of its own until its redial; any other
+// target is dropped, the documented lossy-send case.
+void SocketRuntime::apply_send(NodeId from, std::span<const NodeId> targets,
+                               Bytes wire) {
+  // A fan-out reaches few connections, so a linear scan finds the frame a
+  // target joins.  A target its connection's frame already lists opens
+  // another frame: a frame never names a node twice (the receiver refuses
+  // one that does), and each listing still gets its delivery.
+  std::vector<std::pair<Conn*, std::vector<NodeId>>> frames;
+  for (const NodeId to : targets) {
+    // Loopback: the encode/decode round trip still happens (wire was
+    // encoded inside post_send()), preserving the value-isolation the other
+    // engines give.
+    if (const auto it = nodes_.find(to); it != nodes_.end()) {
+      auto decoded = Message::decode(wire);
+      if (decoded.is_ok()) {
+        it->second->on_message(from, decoded.value());
+      } else {
+        counters_.corrupt_frames.fetch_add(1);
+      }
+      continue;
     }
-    it->second->on_message(from, decoded.value());
-    return;
+    const Dest d = resolve(to);
+    if (d.conn != nullptr) {
+      const auto f =
+          std::find_if(frames.rbegin(), frames.rend(),
+                       [&d](const auto& fr) { return fr.first == d.conn; });
+      if (f != frames.rend() &&
+          std::find(f->second.begin(), f->second.end(), to) ==
+              f->second.end()) {
+        f->second.push_back(to);
+      } else {
+        frames.push_back({d.conn, {to}});
+      }
+    } else if (d.peer != nullptr) {
+      Bytes frame = encode_message_frame(from, {&to, 1}, wire);
+      hold_for_peer(to, *d.peer, {&frame, 1});
+    } else {
+      counters_.messages_dropped.fetch_add(1);
+    }
   }
-
-  Bytes frame = encode_message_frame(from, to, wire);
-  enqueue(to, {&frame, 1});
+  for (auto& [c, to] : frames) {
+    queue_on_conn(*c, encode_message_frame(from, to, wire), to.size());
+  }
 }
 
 void SocketRuntime::apply_send_batch(NodeId from, NodeId to,
@@ -450,39 +466,45 @@ void SocketRuntime::apply_send_batch(NodeId from, NodeId to,
     return;
   }
 
+  const Dest d = resolve(to);
+  if (d.conn == nullptr && d.peer == nullptr) {
+    counters_.messages_dropped.fetch_add(wires.size());
+    return;
+  }
   std::vector<Bytes> frames;
   frames.reserve(wires.size());
   for (const Bytes& wire : wires) {
-    frames.push_back(encode_message_frame(from, to, wire));
+    frames.push_back(encode_message_frame(from, {&to, 1}, wire));
   }
-  enqueue(to, frames);
+  if (d.conn != nullptr) {
+    queue_on_conn(*d.conn, frames, frames.size());
+  } else {
+    hold_for_peer(to, *d.peer, frames);
+  }
 }
 
-// Queues a run of frames toward `to`: on the connection routing to it, else
-// on a dial in flight to that book peer, else in the peer's pending queue
-// (dialing it unless a redial is already scheduled).  With no route and no
-// book entry the run is dropped, the documented lossy-send case.
-void SocketRuntime::enqueue(NodeId to, std::span<Bytes> frames) {
+SocketRuntime::Dest SocketRuntime::resolve(NodeId to) {
   const auto live = [this](int fd) -> Conn* {
     const auto it = conns_.find(fd);
     return it != conns_.end() && !it->second->dead ? it->second.get()
                                                    : nullptr;
   };
-  Conn* c = nullptr;
-  if (const auto r = routes_.find(to); r != routes_.end()) c = live(r->second);
+  Dest d;
+  if (const auto r = routes_.find(to); r != routes_.end()) {
+    d.conn = live(r->second);
+  }
   const auto pit = peers_.find(to);
-  if (c == nullptr && pit != peers_.end() && pit->second.fd >= 0) {
-    c = live(pit->second.fd);
-  }
-  if (c != nullptr) {
-    queue_on_conn(*c, frames);
-    return;
-  }
-  if (pit == peers_.end()) {
-    counters_.messages_dropped.fetch_add(frames.size());
-    return;
-  }
-  Peer& peer = pit->second;
+  if (d.conn != nullptr || pit == peers_.end()) return d;
+  if (pit->second.fd >= 0) d.conn = live(pit->second.fd);
+  if (d.conn == nullptr) d.peer = &pit->second;
+  return d;
+}
+
+// Holds a run of frames for book peer `id` while it is down, dialing it
+// unless a redial is already scheduled.  These frames each carry one
+// message: a book peer is one target.
+void SocketRuntime::hold_for_peer(NodeId id, Peer& peer,
+                                  std::span<Bytes> frames) {
   const std::size_t total = total_bytes(frames);
   if (peer.pending_bytes + total > cfg_.max_conn_queue_bytes) {
     counters_.messages_dropped.fetch_add(frames.size());
@@ -492,15 +514,16 @@ void SocketRuntime::enqueue(NodeId to, std::span<Bytes> frames) {
   for (Bytes& frame : frames) {
     peer.pending.push_back(std::move(frame));
   }
-  if (peer.fd < 0 && !peer.next_connect_at) start_connect(to, peer);
+  if (peer.fd < 0 && !peer.next_connect_at) start_connect(id, peer);
 }
 
 // The run queues atomically: either all of it fits under the cap or none of
 // it does, so a shed batch never leaves a gapped suffix.
-void SocketRuntime::queue_on_conn(Conn& c, std::span<Bytes> frames) {
+void SocketRuntime::queue_on_conn(Conn& c, std::span<Bytes> frames,
+                                  std::size_t messages) {
   const std::size_t total = total_bytes(frames);
   if (c.outq_bytes + total > cfg_.max_conn_queue_bytes) {
-    counters_.messages_dropped.fetch_add(frames.size());
+    counters_.messages_dropped.fetch_add(messages);
     return;
   }
   c.outq_bytes += total;
@@ -703,7 +726,8 @@ void SocketRuntime::on_readable(Conn& c) {
     break;
   }
   // Dispatch every complete frame that arrived — data already received is
-  // valid even when the stream just ended behind it.
+  // valid even when the stream just ended behind it.  The frames decode
+  // into one Frame, which keeps its buffers from one to the next.
   Frame frame;
   while (!c.dead) {
     const FrameDecoder::Next r = c.decoder.next(&frame);
@@ -713,14 +737,14 @@ void SocketRuntime::on_readable(Conn& c) {
       mark_dead(c);
       return;
     }
-    handle_frame(c, std::move(frame));
+    handle_frame(c, frame);
   }
   if (eof && !c.dead) mark_dead(c);
 }
 
 // Frame-loop dispatch surface: every FrameKind must be handled below.
 // lint-dispatch: FrameKind
-void SocketRuntime::handle_frame(Conn& c, Frame frame) {
+void SocketRuntime::handle_frame(Conn& c, const Frame& frame) {
   counters_.frames_received.fetch_add(1);
   switch (frame.kind) {
     case FrameKind::kHello:
@@ -733,18 +757,23 @@ void SocketRuntime::handle_frame(Conn& c, Frame frame) {
       // Refresh the route: after a reconnect the newest connection wins.
       routes_[frame.from] = c.fd;
       c.claims.insert(frame.from);
-      const auto it = nodes_.find(frame.to);
-      if (it == nodes_.end()) {
-        counters_.messages_dropped.fetch_add(1);
-        break;
+      // Decoded once, on the first listed target hosted here; a listed
+      // target this runtime does not host is dropped.
+      std::optional<Result<Message>> decoded;
+      for (const NodeId to : frame.to) {
+        const auto it = nodes_.find(to);
+        if (it == nodes_.end()) {
+          counters_.messages_dropped.fetch_add(1);
+          continue;
+        }
+        if (!decoded) decoded.emplace(Message::decode(frame.message_wire));
+        if (!decoded->is_ok()) {
+          counters_.corrupt_frames.fetch_add(1);
+          mark_dead(c);
+          return;
+        }
+        it->second->on_message(frame.from, decoded->value());
       }
-      auto decoded = Message::decode(frame.message_wire);
-      if (!decoded.is_ok()) {
-        counters_.corrupt_frames.fetch_add(1);
-        mark_dead(c);
-        return;
-      }
-      it->second->on_message(frame.from, decoded.value());
       break;
     }
     case FrameKind::kPing:

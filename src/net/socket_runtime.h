@@ -28,14 +28,19 @@
 //   lossy contract Runtime::send documents ("like a broken TCP connection").
 //
 // Writes
-//   Queueing a frame never writes it: it only marks the frame's connection.
-//   Each pass of the loop over its op queue ends by flushing every marked
-//   connection in gathered sendmsg calls (up to 64 frames each), so all the
-//   frames a loop turn queues to one connection — a fan-out to the members
-//   behind it, a batch run, replies, a keepalive ping — share one syscall.
+//   A send is a fan-out to one target, and every fan-out takes one path:
+//   the message is encoded once and each connection gets ONE frame that
+//   lists the targets behind it in fan-out order (net/frame.h), so a
+//   multicast to 64 members hosted by two client processes is two frames,
+//   not 64.  Queueing a frame never writes it: it only marks the frame's
+//   connection.  Each pass of the loop over its op queue ends by flushing
+//   every marked connection in gathered sendmsg calls (up to 64 frames
+//   each), so all the frames a loop turn queues to one connection — fan-out
+//   frames, a batch run, replies, a keepalive ping — share one syscall.
 //   Only a connection whose socket buffer filled up is written from its
-//   EPOLLOUT event instead.  Gathering changes the syscall count only: the
-//   frames and their order on each connection stay as queued.
+//   EPOLLOUT event instead.  The frames and their order on each connection
+//   stay as queued; the receiver decodes each message frame once and
+//   delivers it to its listed nodes in list order.
 //
 // Backpressure
 //   Outbound bytes queue per connection up to max_conn_queue_bytes; past
@@ -142,12 +147,13 @@ class SocketRuntime : public Runtime {
   // together, never an interior frame.
   void send_batch(NodeId from, NodeId to,
                   const std::vector<Message>& ms) override;
-  // Encode-once fan-out: the message is serialized once and the wire bytes
-  // queued to each target (one op, one loop wakeup).  Targets behind one
-  // connection get their frames in that connection's single write for the
-  // turn.  Per-connection FIFO order against other sends from the same node
-  // is preserved — the op queue is drained in order, so the expansion sits
-  // exactly where the per-target send loop would have.
+  // Encode-once fan-out: one op, one loop wakeup, and one frame per
+  // connection listing the targets behind it (a target named twice goes in
+  // a second frame, so it still gets two deliveries).  Per-connection FIFO
+  // order against other sends from the same node is preserved — the op
+  // queue is drained in order, and each connection's frame sits exactly
+  // where the per-target send loop would have put that connection's
+  // frames.
   void fanout(NodeId from, const std::vector<NodeId>& to,
               const Message& m) override;
   TimerHandle set_timer(NodeId owner, Duration delay,
@@ -156,18 +162,20 @@ class SocketRuntime : public Runtime {
 
  private:
   struct Op {
-    enum class Kind {
-      kSend, kSendBatch, kFanout, kSetTimer, kCancelTimer, kDrop
-    } kind;
-    // kSend / kSendBatch / kFanout
-    NodeId from, to;
-    Bytes wire;                    // kSend / kFanout (shared by all targets)
+    enum class Kind { kSend, kSendBatch, kSetTimer, kCancelTimer, kDrop } kind;
+    NodeId from;                   // kSend / kSendBatch
+    NodeId to;  // kSend's lone target; kSendBatch; timer owner; kDrop peer
+    std::vector<NodeId> targets;   // kSend to several, in fan-out order
+    Bytes wire;                    // kSend (shared by all targets)
     std::vector<Bytes> wires;      // kSendBatch only
-    std::vector<NodeId> targets;   // kFanout only
     // timers
     TimerHandle handle = 0;
     TimePoint deadline = 0;
     std::uint64_t tag = 0;
+
+    std::span<const NodeId> send_targets() const {
+      return targets.empty() ? std::span<const NodeId>(&to, 1) : targets;
+    }
   };
 
   // One TCP connection (either direction), keyed by fd.
@@ -200,17 +208,34 @@ class SocketRuntime : public Runtime {
     std::size_t pending_bytes = 0;
   };
 
+  // Where traffic toward a remote node goes: a connection (open or
+  // dialing), else a down book peer's pending queue; neither means no route.
+  struct Dest {
+    Conn* conn = nullptr;
+    Peer* peer = nullptr;
+  };
+
+  void post_send(NodeId from, std::span<const NodeId> targets,
+                 const Message& m);
+
   // loop() is the loop-context root; every callback it dispatches runs on
   // the epoll thread.  The syscall-bearing helpers below are certified
   // non-blocking: every fd they touch is O_NONBLOCK (sockets, eventfd,
   // listener), so writes/reads return EAGAIN instead of parking the loop.
   CORONA_LOOP_CONTEXT void loop();
   void drain_ops();
-  void apply_send(NodeId from, NodeId to, Bytes wire);
+  // Takes the wire by value so it is freed once its frames are built, not
+  // when the whole op batch is.
+  void apply_send(NodeId from, std::span<const NodeId> targets, Bytes wire);
   void apply_send_batch(NodeId from, NodeId to, std::vector<Bytes> wires);
-  void enqueue(NodeId to, std::span<Bytes> frames);
-  void queue_on_conn(Conn& c, std::span<Bytes> frames);
-  void queue_on_conn(Conn& c, Bytes frame) { queue_on_conn(c, {&frame, 1}); }
+  Dest resolve(NodeId to);
+  void hold_for_peer(NodeId id, Peer& peer, std::span<Bytes> frames);
+  // `messages` is what a drop at the cap counts: a fan-out frame carries
+  // one message per listed target.
+  void queue_on_conn(Conn& c, std::span<Bytes> frames, std::size_t messages);
+  void queue_on_conn(Conn& c, Bytes frame, std::size_t messages = 1) {
+    queue_on_conn(c, {&frame, 1}, messages);
+  }
   void mark_for_flush(Conn& c);
   void flush_marked();
   CORONA_NONBLOCKING void flush_conn(Conn& c);
@@ -219,7 +244,7 @@ class SocketRuntime : public Runtime {
   void schedule_reconnect(NodeId peer_id, Peer& peer);
   void on_connect_ready(Conn& c);
   CORONA_NONBLOCKING void on_readable(Conn& c);
-  void handle_frame(Conn& c, Frame frame);
+  void handle_frame(Conn& c, const Frame& frame);
   void close_conn(int fd, bool schedule_redial);
   // Closing an fd inside an epoll batch could let accept() recycle the fd
   // number and mis-route later events in the same batch, so callbacks only

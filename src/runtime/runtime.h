@@ -74,9 +74,10 @@ class Runtime {
   // Point-to-point fan-out of ONE message to many peers.  Semantically
   // identical to this default loop — each target gets an ordinary send —
   // but an engine that serializes at the sender (socket) overrides it
-  // to encode `m` once and reuse the wire bytes for every target, instead
-  // of paying one Message::encode per member.  Unlike multicast() this
-  // never becomes an IP-multicast: use it where the recipients are real
+  // to encode `m` once, instead of paying one Message::encode per member,
+  // and to send one frame per connection that lists the targets behind
+  // it, instead of one frame per member.  Unlike multicast() this never
+  // becomes an IP-multicast: use it where the recipients are real
   // point-to-point peers (per-member kDeliver fan-out).  The simulator
   // deliberately keeps the default so per-target costs and journals are
   // byte-identical with the pre-fanout code.

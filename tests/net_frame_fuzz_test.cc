@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "net/frame.h"
 #include "serial/message.h"
@@ -24,8 +25,8 @@
 namespace corona::net {
 namespace {
 
-// A small but representative valid stream: hello, a few messages (including
-// an empty-payload one), liveness probes.
+// A small but representative valid stream: hello, a few messages for one to
+// four targets each, liveness probes.
 Bytes valid_stream(Rng& rng) {
   Bytes out;
   auto append = [&out](const Bytes& frame) {
@@ -40,7 +41,15 @@ Bytes valid_stream(Rng& rng) {
     m.object = ObjectId{rng.next_below(10)};
     m.request_id = rng.next_u64();
     m.payload = to_bytes("fuzz-payload");
-    append(encode_message_frame(NodeId{100 + rng.next_below(3)}, NodeId{1},
+    // 1 to 4 distinct targets, as a fan-out to the nodes behind one
+    // connection (a frame naming a node twice is corrupt).
+    const std::uint64_t targets = rng.next_range(1, 4);
+    std::vector<NodeId> to;
+    while (to.size() < targets) {
+      const NodeId id{1 + rng.next_below(300)};
+      if (std::find(to.begin(), to.end(), id) == to.end()) to.push_back(id);
+    }
+    append(encode_message_frame(NodeId{100 + rng.next_below(3)}, to,
                                 m.encode()));
   }
   append(encode_ping_frame());

@@ -23,7 +23,21 @@ Bytes sample_message_frame(SeqNo seq) {
   m.type = MsgType::kDeliver;
   m.group = GroupId{7};
   m.seq = seq;
-  return encode_message_frame(NodeId{3}, NodeId{4}, m.encode());
+  const NodeId to[] = {NodeId{4}};
+  return encode_message_frame(NodeId{3}, to, m.encode());
+}
+
+// Wraps `body` in a length prefix and kind byte without going through the
+// encoders, so a test can hand the decoder a body they would never write.
+Bytes raw_frame(FrameKind kind, const Bytes& body) {
+  const std::size_t len = 1 + body.size();
+  Bytes wire = {static_cast<std::uint8_t>(len & 0xff),
+                static_cast<std::uint8_t>((len >> 8) & 0xff),
+                static_cast<std::uint8_t>((len >> 16) & 0xff),
+                static_cast<std::uint8_t>((len >> 24) & 0xff),
+                static_cast<std::uint8_t>(kind)};
+  wire.insert(wire.end(), body.begin(), body.end());
+  return wire;
 }
 
 TEST(SocketFrame, RoundTripsEveryKind) {
@@ -41,7 +55,7 @@ TEST(SocketFrame, RoundTripsEveryKind) {
   ASSERT_EQ(d.next(&f), FrameDecoder::Next::kFrame);
   EXPECT_EQ(f.kind, FrameKind::kMessage);
   EXPECT_EQ(f.from, NodeId{3});
-  EXPECT_EQ(f.to, NodeId{4});
+  EXPECT_EQ(f.to, (std::vector<NodeId>{NodeId{4}}));
   auto decoded = Message::decode(f.message_wire);
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded.value().type, MsgType::kDeliver);
@@ -53,6 +67,105 @@ TEST(SocketFrame, RoundTripsEveryKind) {
   EXPECT_EQ(f.kind, FrameKind::kPong);
   EXPECT_EQ(d.next(&f), FrameDecoder::Next::kNeedMore);
   EXPECT_EQ(d.buffered_bytes(), 0u);
+}
+
+TEST(SocketFrame, MessageFrameCarriesItsTargetsInOrder) {
+  // One frame for three nodes behind one connection: the list comes back
+  // in fan-out order, ids of any varint width, and the message once.
+  Message m;
+  m.type = MsgType::kDeliver;
+  m.group = GroupId{7};
+  m.seq = 11;
+  const std::vector<NodeId> to = {NodeId{300}, NodeId{5}, NodeId{70000}};
+  FrameDecoder d;
+  d.feed(BytesView(encode_message_frame(NodeId{3}, to, m.encode())));
+  Frame f;
+  ASSERT_EQ(d.next(&f), FrameDecoder::Next::kFrame);
+  EXPECT_EQ(f.kind, FrameKind::kMessage);
+  EXPECT_EQ(f.from, NodeId{3});
+  EXPECT_EQ(f.to, to);
+  EXPECT_EQ(f.message_wire, m.encode());
+  EXPECT_EQ(d.next(&f), FrameDecoder::Next::kNeedMore);
+  EXPECT_EQ(d.buffered_bytes(), 0u);
+}
+
+TEST(SocketFrame, TargetCountMayEqualTheBytesLeft) {
+  // from=3, one one-byte target, and no message bytes: the frame is whole
+  // (the empty message fails later, in Message::decode at dispatch).
+  FrameDecoder d;
+  d.feed(BytesView(raw_frame(FrameKind::kMessage, {3, 1, 4})));
+  Frame f;
+  ASSERT_EQ(d.next(&f), FrameDecoder::Next::kFrame);
+  EXPECT_EQ(f.to, (std::vector<NodeId>{NodeId{4}}));
+  EXPECT_TRUE(f.message_wire.empty());
+}
+
+TEST(SocketFrame, MessageFrameWithNoTargetIsCorrupt) {
+  Bytes body = {3, 0};  // from=3, count=0
+  const Bytes msg = Message{}.encode();
+  body.insert(body.end(), msg.begin(), msg.end());
+  FrameDecoder d;
+  d.feed(BytesView(raw_frame(FrameKind::kMessage, body)));
+  Frame f;
+  EXPECT_EQ(d.next(&f), FrameDecoder::Next::kCorrupt);
+  EXPECT_TRUE(d.corrupt());
+}
+
+TEST(SocketFrame, MessageFrameWithLyingTargetCountIsCorruptNotHuge) {
+  // from=3, then a varint count far larger than the bytes present; must be
+  // rejected without attempting a giant reserve.
+  const Bytes body = {3,    0xff, 0xff, 0xff, 0xff, 0xff,
+                      0xff, 0xff, 0xff, 0x7f, 4};
+  FrameDecoder d;
+  d.feed(BytesView(raw_frame(FrameKind::kMessage, body)));
+  Frame f;
+  EXPECT_EQ(d.next(&f), FrameDecoder::Next::kCorrupt);
+}
+
+TEST(SocketFrame, MessageFrameWithTruncatedTargetListIsCorrupt) {
+  // from=3, count=2 (no more than the 3 bytes left), target 300 as two
+  // varint bytes, then a continuation byte with nothing after it: the
+  // second target is cut short by the end of the frame.
+  FrameDecoder d;
+  d.feed(
+      BytesView(raw_frame(FrameKind::kMessage, {3, 2, 0xac, 0x02, 0x80})));
+  Frame f;
+  EXPECT_EQ(d.next(&f), FrameDecoder::Next::kCorrupt);
+}
+
+TEST(SocketFrame, MessageFrameListingANodeTwiceIsCorrupt) {
+  // The receiver hands a frame's message to each listed node, so a repeat
+  // would multiply one message; it is refused whether the two listings sit
+  // side by side or apart.
+  const Bytes msg = Message{}.encode();
+  for (const Bytes& head : {Bytes{3, 2, 4, 4}, Bytes{3, 3, 4, 5, 4}}) {
+    Bytes body = head;
+    body.insert(body.end(), msg.begin(), msg.end());
+    FrameDecoder d;
+    d.feed(BytesView(raw_frame(FrameKind::kMessage, body)));
+    Frame f;
+    EXPECT_EQ(d.next(&f), FrameDecoder::Next::kCorrupt);
+  }
+}
+
+TEST(SocketFrame, FramesDecodeIntoOneFrameObject) {
+  // A Frame reused across next() calls keeps its buffers; each frame must
+  // still come out whole, with no target or node left over from the last.
+  const NodeId three[] = {NodeId{4}, NodeId{5}, NodeId{6}};
+  const NodeId one[] = {NodeId{7}};
+  FrameDecoder d;
+  d.feed(BytesView(encode_hello_frame({NodeId{1}, NodeId{2}})));
+  d.feed(BytesView(encode_hello_frame({NodeId{8}})));
+  d.feed(BytesView(encode_message_frame(NodeId{3}, three, to_bytes("ab"))));
+  d.feed(BytesView(encode_message_frame(NodeId{3}, one, to_bytes("c"))));
+  Frame f;
+  ASSERT_EQ(d.next(&f), FrameDecoder::Next::kFrame);
+  ASSERT_EQ(d.next(&f), FrameDecoder::Next::kFrame);
+  EXPECT_EQ(f.hello_nodes, (std::vector<NodeId>{NodeId{8}}));
+  ASSERT_EQ(d.next(&f), FrameDecoder::Next::kFrame);
+  ASSERT_EQ(d.next(&f), FrameDecoder::Next::kFrame);
+  EXPECT_EQ(f.to, (std::vector<NodeId>{NodeId{7}}));
+  EXPECT_EQ(f.message_wire, to_bytes("c"));
 }
 
 TEST(SocketFrame, SingleByteFeedsReassemble) {
@@ -155,18 +268,10 @@ TEST(SocketFrame, WrongHelloVersionIsCorrupt) {
 TEST(SocketFrame, HelloWithLyingCountIsCorruptNotHuge) {
   // kind=hello, version ok, then a varint count far larger than the bytes
   // present; must be rejected without attempting a giant reserve.
-  Bytes body = {kFrameProtocolVersion,
-                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
-  Bytes wire;
-  const std::size_t len = 1 + body.size();
-  wire.push_back(static_cast<std::uint8_t>(len));
-  wire.push_back(0);
-  wire.push_back(0);
-  wire.push_back(0);
-  wire.push_back(static_cast<std::uint8_t>(FrameKind::kHello));
-  wire.insert(wire.end(), body.begin(), body.end());
+  const Bytes body = {kFrameProtocolVersion,
+                      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
   FrameDecoder d;
-  d.feed(BytesView(wire));
+  d.feed(BytesView(raw_frame(FrameKind::kHello, body)));
   Frame f;
   EXPECT_EQ(d.next(&f), FrameDecoder::Next::kCorrupt);
 }
@@ -248,7 +353,8 @@ TEST(SocketFrame, MultiByteLengthPrefixDecodesExactly) {
   ASSERT_GT(wire.size(), 255u);
 
   FrameDecoder d;
-  d.feed(BytesView(encode_message_frame(NodeId{3}, NodeId{4}, wire)));
+  const NodeId to[] = {NodeId{4}};
+  d.feed(BytesView(encode_message_frame(NodeId{3}, to, wire)));
   Frame f;
   ASSERT_EQ(d.next(&f), FrameDecoder::Next::kFrame);
   EXPECT_EQ(f.kind, FrameKind::kMessage);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "harness.h"
 
@@ -163,6 +165,47 @@ TEST(Replicated, HotStandbyBackupAssigned) {
     if (w.leaf(i).holds_copy(kG)) ++copies;
   }
   EXPECT_GE(copies, 2);
+}
+
+TEST(Replicated, LostBackupIsReplacedOnAnotherLeaf) {
+  // Losing the leaf that holds a group's backup copy drops the group below
+  // min_copies.  The coordinator must recruit a replacement on a surviving
+  // leaf when it drops the dead one (§4.1), not wait for the next join or
+  // leave to notice.
+  ReplicatedWorld w(4, 1);  // coordinator + 3 leaves; client on leaf 1
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.settle();
+  w.run_ms(500);
+  std::size_t backup = 0;
+  for (std::size_t i = 2; i < 4; ++i) {
+    if (w.leaf(i).holds_copy(kG)) backup = i;
+  }
+  ASSERT_NE(backup, 0u) << "no backup copy to lose";
+  const std::size_t spare = backup == 2 ? 3 : 2;
+  ASSERT_FALSE(w.leaf(spare).holds_copy(kG));
+  const std::uint64_t before = w.coordinator().stats().backups_assigned;
+
+  w.rt.crash(w.server_ids[backup]);
+  // The replacement counts as a copy holder from the moment it is assigned,
+  // before the spare has asked for the state, so a second trigger in that
+  // window cannot recruit yet another leaf.
+  for (int i = 0; i < 30000 && w.coordinator().stats().backups_assigned ==
+                                   before;
+       ++i) {
+    w.rt.run_for(kMillisecond / 10);
+  }
+  ASSERT_EQ(w.coordinator().stats().backups_assigned, before + 1);
+  const std::vector<NodeId> holders = w.coordinator().coord_holders(kG);
+  EXPECT_NE(std::find(holders.begin(), holders.end(), w.server_ids[spare]),
+            holders.end());
+  EXPECT_FALSE(w.leaf(spare).holds_copy(kG)) << "the state arrived already";
+
+  w.run_ms(3000);
+  ASSERT_FALSE(w.coordinator().registry().contains(w.server_ids[backup]));
+  EXPECT_EQ(w.coordinator().stats().backups_assigned, before + 1);
+  EXPECT_TRUE(w.leaf(spare).holds_copy(kG));
 }
 
 TEST(Replicated, BackupCopyStaysCurrent) {
@@ -472,6 +515,26 @@ TEST(Replicated, LeaveRacingGroupDeleteReportsNotFound) {
   }
   EXPECT_TRUE(saw_not_found)
       << "leave after delete must surface kNotFound through the leaf";
+}
+
+TEST(Replicated, LeaveThroughALeafIsAcknowledged) {
+  // The leaf answers a member's leave itself; the coordinator's result for
+  // a successful leave is silent, so without the leaf's reply the client
+  // would hear nothing back.
+  std::vector<std::pair<RequestId, Status>> replies;
+  CoronaClient::Callbacks cb;
+  cb.on_reply = [&](RequestId rid, Status s) { replies.emplace_back(rid, s); };
+  ReplicatedWorld w(3, 1, ReplicaConfig{}, cb);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.settle();
+  const RequestId rid = w.client(0).leave(kG);
+  w.settle();
+  const bool acked = std::any_of(
+      replies.begin(), replies.end(),
+      [&](const auto& r) { return r.first == rid && r.second.is_ok(); });
+  EXPECT_TRUE(acked) << "no ok reply to the leave";
 }
 
 TEST(Replicated, HotStandbyRetainedWithoutFreshBackupElection) {

@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/client.h"
@@ -660,9 +661,9 @@ TEST(SocketLoopback, WriteBackpressureDrainsViaEpollout) {
 
 TEST(SocketLoopback, FanoutToOneConnectionIsOneGatheredWrite) {
   // One client runtime hosts every member, so the server reaches all of
-  // them over one connection.  A multicast's fan-out is queued in one loop
-  // turn and must leave in one gathered write, not one sendmsg per member,
-  // at the default batch size of 1.
+  // them over one connection.  A multicast's fan-out must leave as ONE
+  // frame listing every member, in one sendmsg, at the default batch size
+  // of 1; the client runtime delivers it to each member.
   GroupStore store;
   CoronaServer server(ServerConfig{}, &store);
   SocketRuntime server_rt;
@@ -714,7 +715,7 @@ TEST(SocketLoopback, FanoutToOneConnectionIsOneGatheredWrite) {
 
   members[0]->bcast_update(kG, kObj, to_bytes("x"));
   ASSERT_TRUE(wait_until([&] {
-    return server_rt.stats().frames_sent >= before.frames_sent + kMembers &&
+    return server_rt.stats().frames_sent >= before.frames_sent + 1 &&
            holds([&] {
              return std::all_of(journals.begin(), journals.end(),
                                 [](const auto& j) { return !j.empty(); });
@@ -724,11 +725,166 @@ TEST(SocketLoopback, FanoutToOneConnectionIsOneGatheredWrite) {
   client_rt.stop();
   server_rt.stop();
 
-  EXPECT_EQ(after.frames_sent - before.frames_sent, kMembers);
-  EXPECT_LE(after.writev_calls - before.writev_calls, 2u)
-      << "the fan-out to one connection took one sendmsg per frame";
+  EXPECT_EQ(after.frames_sent - before.frames_sent, 1u)
+      << "the fan-out to one connection took one frame per member";
+  EXPECT_LE(after.writev_calls - before.writev_calls, 1u);
   ASSERT_EQ(journals[0].size(), 1u);
   for (const auto& j : journals) EXPECT_EQ(j, journals[0]);
+}
+
+TEST(SocketLoopback, OneMemberPerConnectionKeepsOneFramePerMember) {
+  // With every member behind its own connection there is nothing to share:
+  // one multicast still costs the server one frame per member.
+  GroupStore store;
+  CoronaServer server(ServerConfig{}, &store);
+  SocketRuntime server_rt;
+  server_rt.add_node(kServerId, &server);
+  auto port = server_rt.listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.is_ok()) << port.status().to_string();
+  server_rt.start();
+
+  constexpr std::size_t kMembers = 4;
+  std::vector<std::unique_ptr<ClientProc>> members;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    members.push_back(
+        std::make_unique<ClientProc>(NodeId{100 + i}, port.value()));
+  }
+  ASSERT_TRUE(
+      wait_until([&] { return server_rt.stats().accepts >= kMembers; }));
+  members[0]->client->create_group(kG, "g", true);
+  ASSERT_TRUE(wait_until([&] { return members[0]->replies() >= 1; }));
+  for (const auto& m : members) m->client->join(kG);
+  ASSERT_TRUE(wait_until([&] {
+    return std::all_of(members.begin(), members.end(),
+                       [](const auto& m) { return m->joins() == 1; });
+  }));
+  // The last join reply can reach its member a moment before the server's
+  // loop counts its write; let the counters settle.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const SocketRuntime::Stats before = server_rt.stats();
+
+  members[0]->client->bcast_update(kG, kObj, to_bytes("x"));
+  ASSERT_TRUE(wait_until([&] {
+    return server_rt.stats().frames_sent >= before.frames_sent + kMembers &&
+           std::all_of(members.begin(), members.end(),
+                       [](const auto& m) { return m->journal_size() >= 1; });
+  }));
+  const SocketRuntime::Stats after = server_rt.stats();
+  members.clear();
+  server_rt.stop();
+
+  EXPECT_EQ(after.frames_sent - before.frames_sent, kMembers);
+}
+
+// Appends (node, seq) for every delivery to any node sharing the journal,
+// so a test can check the order across nodes.
+struct SharedJournal {
+  std::mutex mu;
+  std::vector<std::pair<NodeId, SeqNo>> entries;
+  std::size_t size() {
+    std::lock_guard<std::mutex> lock(mu);
+    return entries.size();
+  }
+};
+
+struct JournalNode final : Node {
+  explicit JournalNode(SharedJournal* journal) : journal(journal) {}
+  void on_message(NodeId, const Message& m) override {
+    std::lock_guard<std::mutex> lock(journal->mu);
+    journal->entries.emplace_back(id(), m.seq);
+  }
+  SharedJournal* journal;
+};
+
+TEST(SocketLoopback, MessageFrameSkipsTargetsNotHostedHere) {
+  // A raw peer sends one frame for [A, an id nobody hosts, B] and then one
+  // for [A].  The runtime delivers to its hosted targets in list order,
+  // skips the unknown one, and counts it as one dropped message.
+  const NodeId kA{1}, kB{2}, kUnknown{77};
+  SharedJournal journal;
+  JournalNode a(&journal), b(&journal);
+  SocketRuntime rt;
+  rt.add_node(kA, &a);
+  rt.add_node(kB, &b);
+  auto port = rt.listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.is_ok()) << port.status().to_string();
+  rt.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port.value());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  const NodeId kPeer{100};
+  Message m;
+  m.type = MsgType::kHeartbeat;
+  m.seq = 1;
+  Bytes wire = encode_hello_frame({kPeer});
+  const NodeId first_to[] = {kA, kUnknown, kB};
+  const Bytes first = encode_message_frame(kPeer, first_to, m.encode());
+  m.seq = 2;
+  const Bytes second = encode_message_frame(kPeer, {&kA, 1}, m.encode());
+  wire.insert(wire.end(), first.begin(), first.end());
+  wire.insert(wire.end(), second.begin(), second.end());
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+
+  ASSERT_TRUE(wait_until([&] { return journal.size() >= 3; }));
+  const SocketRuntime::Stats stats = rt.stats();
+  rt.stop();
+  ::close(fd);
+
+  const std::vector<std::pair<NodeId, SeqNo>> want = {
+      {kA, 1}, {kB, 1}, {kA, 2}};
+  EXPECT_EQ(journal.entries, want);
+  EXPECT_EQ(stats.messages_dropped, 1u);
+  EXPECT_EQ(stats.frames_received, 3u);  // hello + two message frames
+  EXPECT_EQ(stats.corrupt_frames, 0u);
+}
+
+TEST(SocketLoopback, FanoutListingANodeTwiceDeliversTwice) {
+  // A fan-out that names a node twice delivers to it twice, as one send
+  // per listing would.  A frame never names a node twice (the receiver
+  // refuses one that does), so the repeat travels in a second frame.
+  const NodeId kA{1}, kB{2}, kS{50};
+  SharedJournal rx_journal, tx_journal;
+  JournalNode a(&rx_journal), b(&rx_journal), s(&tx_journal);
+  SocketRuntime tx;
+  tx.add_node(kS, &s);
+  auto port = tx.listen("127.0.0.1", 0);
+  ASSERT_TRUE(port.is_ok()) << port.status().to_string();
+  tx.start();
+  SocketRuntime rx;
+  rx.add_node(kA, &a);
+  rx.add_node(kB, &b);
+  rx.set_peer_address(kS, Endpoint{"127.0.0.1", port.value()});
+  rx.start();
+
+  // rx dials tx, and its hello routes kA and kB over that one connection.
+  Message m;
+  m.type = MsgType::kHeartbeat;
+  m.seq = 1;
+  rx.send(kA, kS, m);
+  ASSERT_TRUE(wait_until([&] { return tx_journal.size() >= 1; }));
+  const SocketRuntime::Stats before = tx.stats();
+
+  m.seq = 2;
+  tx.fanout(kS, {kA, kB, kA}, m);
+  ASSERT_TRUE(wait_until([&] { return rx_journal.size() >= 3; }));
+  const SocketRuntime::Stats after = tx.stats();
+  const SocketRuntime::Stats rx_stats = rx.stats();
+  rx.stop();
+  tx.stop();
+
+  const std::vector<std::pair<NodeId, SeqNo>> want = {
+      {kA, 2}, {kB, 2}, {kA, 2}};
+  EXPECT_EQ(rx_journal.entries, want);
+  EXPECT_EQ(after.frames_sent - before.frames_sent, 2u);
+  EXPECT_EQ(rx_stats.corrupt_frames, 0u);
 }
 
 TEST(SocketLoopback, BatchToDownPeerWaitsForTheDial) {

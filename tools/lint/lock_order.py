@@ -18,9 +18,8 @@ How the graph is built (two passes, dependency-free):
 
   pass 2  Walk each file tracking the held-lock set:
             * `MutexLock l(expr);` / `RecursiveMutexLock l(expr);` RAII
-              scopes, popped by brace depth;
-            * manual `l.unlock()` / `l.lock()` on a scope variable
-              (the worker-loop callback window);
+              scopes, popped by brace depth (the wrappers have no manual
+              unlock()/lock(), so a scope holds its lock to the end);
             * `CORONA_REQUIRES(mu, ...)` on an inline definition marks
               the locks as held for the following body.
           Acquiring B with A held records edge A -> B with its site.
@@ -67,11 +66,10 @@ CLASS_OPEN_RE = re.compile(
     r"[^;{]*\{"
 )
 LOCK_DECL_RE = re.compile(
-    r"\b(?:corona::)?(MutexLock|RecursiveMutexLock)\b\s+([A-Za-z_]\w*)"
+    r"\b(?:corona::)?(?:MutexLock|RecursiveMutexLock)\b\s+[A-Za-z_]\w*"
     r"\s*[({]\s*([^(){};]+?)\s*[)}]"
 )
 REQUIRES_RE = re.compile(r"\bCORONA_REQUIRES\s*\(([^()]*)\)")
-METHOD_RE = re.compile(r"\b(\w+)\s*\.\s*(lock|unlock)\s*\(\s*\)")
 
 
 class Lock(NamedTuple):
@@ -91,7 +89,6 @@ class Edge(NamedTuple):
 class Held(NamedTuple):
     identity: str
     depth: int        # brace depth of the owning scope; popped below it
-    var: str | None   # MutexLock variable name; None for REQUIRES entries
 
 
 def collect_locks(files: list[str]) -> list[Lock]:
@@ -169,18 +166,17 @@ def scan_file(path: str, resolver: Resolver,
 
     depth = 0
     held: list[Held] = []
-    inactive: dict[str, Held] = {}      # manually unlock()ed scope vars
     pending_requires: list[str] | None = None  # identities awaiting a '{'
     prev_waived = False
 
-    def acquire(identity: str, recursive: bool, var: str | None,
-                lineno: int, waived: bool) -> None:
+    def acquire(identity: str, recursive: bool, lineno: int,
+                waived: bool) -> None:
         for h in held:
             if h.identity == identity and recursive:
                 continue  # re-entry on a recursive mutex: no edge
             if not waived:
                 edges.append(Edge(h.identity, identity, path, lineno))
-        held.append(Held(identity, depth, var))
+        held.append(Held(identity, depth))
 
     for lineno, raw, code in logical_lines(text):
         waived = "lock-order" in waivers_on(raw) or prev_waived
@@ -190,10 +186,7 @@ def scan_file(path: str, resolver: Resolver,
         # order so brace depth is correct at each acquisition.
         events: list[tuple[int, str, tuple]] = []
         for m in LOCK_DECL_RE.finditer(code):
-            events.append((m.start(), "decl",
-                           (m.group(1), m.group(2), m.group(3))))
-        for m in METHOD_RE.finditer(code):
-            events.append((m.start(), m.group(2), (m.group(1),)))
+            events.append((m.start(), "decl", (m.group(1),)))
         for m in REQUIRES_RE.finditer(code):
             events.append((m.start(), "requires", (m.group(1),)))
         events.sort()
@@ -204,31 +197,14 @@ def scan_file(path: str, resolver: Resolver,
                 _, kind, args = events[ei]
                 ei += 1
                 if kind == "decl":
-                    kindname, var, expr = args
+                    (expr,) = args
                     lk = resolver.resolve(expr, path)
                     if lk is None:
                         unresolved.append(
                             f"{path}:{lineno}: cannot resolve lock "
                             f"expression '{expr.strip()}'")
                         continue
-                    inactive.pop(var, None)
-                    acquire(lk.identity, lk.recursive, var, lineno, waived)
-                elif kind == "unlock":
-                    (var,) = args
-                    for i, h in enumerate(held):
-                        if h.var == var:
-                            inactive[var] = held.pop(i)
-                            break
-                elif kind == "lock":
-                    (var,) = args
-                    h = inactive.pop(var, None)
-                    if h is not None:
-                        lk = resolver.by_member.get(
-                            h.identity.rsplit("::", 1)[-1])
-                        recursive = bool(lk) and all(
-                            x.recursive for x in lk
-                            if x.identity == h.identity)
-                        acquire(h.identity, recursive, var, lineno, waived)
+                    acquire(lk.identity, lk.recursive, lineno, waived)
                 elif kind == "requires":
                     (arglist,) = args
                     idents = []
@@ -242,17 +218,12 @@ def scan_file(path: str, resolver: Resolver,
                 depth += 1
                 if pending_requires is not None:
                     for identity in pending_requires:
-                        held.append(Held(identity, depth, None))
+                        held.append(Held(identity, depth))
                     pending_requires = None
             elif ch == "}":
                 depth -= 1
                 while held and held[-1].depth > depth:
-                    dead = held.pop()
-                    if dead.var is not None:
-                        inactive.pop(dead.var, None)
-                # Scope variables declared at this depth are gone too.
-                inactive = {v: h for v, h in inactive.items()
-                            if h.depth <= depth}
+                    held.pop()
             elif ch == ";" and pending_requires is not None:
                 # Pure declaration (`void f() CORONA_REQUIRES(mu_);`).
                 pending_requires = None

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Self-test for lock_order.py: the fixtures must produce exactly the
 expected graph — the seeded ABBA cycle is detected, a consistent order is
-clean, waivers and the manual unlock window suppress edges, REQUIRES
-contributes held locks, and the baseline flags unreviewed new edges."""
+clean, waivers suppress edges, REQUIRES contributes held locks, and the
+baseline flags unreviewed new edges."""
 
 from __future__ import annotations
 
@@ -57,12 +57,6 @@ class Suppression(unittest.TestCase):
     def test_waiver_breaks_the_cycle(self) -> None:
         code, out, err = run([fixture("waived_cycle.cc")])
         self.assertEqual(code, 0, out + err)
-
-    def test_manual_unlock_window_records_no_edge(self) -> None:
-        code, out, err = run(["--print-graph",
-                              fixture("manual_window.cc")])
-        self.assertEqual(code, 0, out + err)
-        self.assertNotIn("edge ", out)
 
     def test_requires_marks_lock_held(self) -> None:
         code, out, err = run(["--print-graph",
