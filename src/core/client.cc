@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/state_transfer.h"
 #include "util/logging.h"
 
 namespace corona {
@@ -250,18 +251,12 @@ void CoronaClient::on_message(NodeId from, const Message& m) {
     case MsgType::kStateQuery: {
       // Peer-transfer donor duty (the §2 ISIS-style baseline): the server
       // asks this member to supply the group state for a joining client.
-      Message reply;
-      reply.type = MsgType::kStateReply;
-      reply.group = m.group;
-      reply.request_id = m.request_id;
       auto it = replicas_.find(m.group);
-      if (it == replicas_.end()) {
-        reply.status = Errc::kNotFound;
-      } else {
-        reply.seq = it->second.state.head_seq();
-        reply.state = it->second.state.snapshot();
-      }
-      send(from, reply);
+      send(from, it == replicas_.end()
+                     ? make_refusal(MsgType::kStateReply, m.group,
+                                    m.request_id, Status::error(Errc::kNotFound))
+                     : make_member_resync(m.group, m.request_id,
+                                          it->second.state));
       break;
     }
     default:

@@ -6,7 +6,10 @@ bool Group::add_member(NodeId node, MemberRole role, bool wants_notices) {
   return members_.emplace(node, Member{role, wants_notices, NodeId{}}).second;
 }
 
-bool Group::remove_member(NodeId node) { return members_.erase(node) > 0; }
+std::vector<std::pair<ObjectId, NodeId>> Group::remove_member(NodeId node) {
+  if (members_.erase(node) == 0) return {};
+  return locks_.drop_member(node);
+}
 
 std::vector<MemberInfo> Group::member_list() const {
   std::vector<MemberInfo> out;

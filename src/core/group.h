@@ -46,8 +46,10 @@ class Group {
   bool add_member(NodeId node, MemberRole role, bool wants_notices);
   // Adds `node` or replaces its entry (a coordinator's member re-registration).
   void set_member(NodeId node, Member info) { members_[node] = info; }
-  // Returns false if not a member.
-  bool remove_member(NodeId node);
+  // Removes `node` and releases its locks and queued lock requests, so
+  // every lock holder and waiter stays a member.  Returns the (object, new
+  // holder) grants that result; none if `node` was not a member.
+  std::vector<std::pair<ObjectId, NodeId>> remove_member(NodeId node);
   bool is_member(NodeId node) const { return members_.contains(node); }
   std::size_t member_count() const { return members_.size(); }
   // Members in deterministic (NodeId) order — also the multicast fan-out
@@ -88,8 +90,8 @@ class Group {
   // never skips or reuses a number); the retained history is gapless (the
   // group applies every record it sequences, unlike client copies, which
   // may hold object-filtered tails); every lock holder and waiter is a
-  // current member (drop_member on leave/crash must keep this); plus the
-  // nested SharedState and LockTable invariants.
+  // current member (remove_member keeps this); plus the nested SharedState
+  // and LockTable invariants.
   InvariantReport check_invariants() const;
 
  private:

@@ -140,7 +140,7 @@ void CoronaServer::on_timer(std::uint64_t tag) {
 // Role dispatch surface: every MsgType must be handled below or waived.
 // lint-dispatch: MsgType
 // dispatch-ignore: kInvalid -- sentinel; the decoder rejects it upstream
-// dispatch-ignore: kReply kDeliver -- emitted by this role, never received
+// dispatch-ignore: kReply kDeliver kMembershipInfo -- emitted, never received
 // dispatch-ignore: kServerHello kFwdMulticast kSeqMulticast -- replica tier
 // dispatch-ignore: kGroupOp kGroupOpResult kHeartbeatAck -- replica tier
 // dispatch-ignore: kServerList kElectionClaim kElectionVote -- replica tier
@@ -220,13 +220,12 @@ void CoronaServer::handle_delete(NodeId from, const Message& m) {
     send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
     return;
   }
-  // "The shared state of a deleted group is lost."
+  // "The shared state of a deleted group is lost."  Every member is told,
+  // the requester too, so no member keeps a replica of a deleted group.
   Message note;
   note.type = MsgType::kGroupDeleted;
   note.group = m.group;
-  for (const auto& [member, info] : group->members()) {
-    if (!(member == from)) send(member, note);
-  }
+  for (const auto& [member, info] : group->members()) send(member, note);
   groups_.erase(m.group);
   reduction_.erase(m.group);
   store_->remove_group(m.group);
@@ -234,27 +233,21 @@ void CoronaServer::handle_delete(NodeId from, const Message& m) {
 }
 
 void CoronaServer::handle_join(NodeId from, const Message& m) {
-  Message reply;
-  reply.type = MsgType::kJoinReply;
-  reply.group = m.group;
-  reply.request_id = m.request_id;
-
+  const auto refuse = [&](Status s) {
+    send(from, make_refusal(MsgType::kJoinReply, m.group, m.request_id,
+                            std::move(s)));
+  };
   if (Status s = authorize(from, m.group, GroupAction::kJoin); !s) {
-    reply.status = s.code;
-    reply.text = s.detail;
-    send(from, reply);
+    refuse(std::move(s));
     return;
   }
   Group* group = find_group(m.group);
   if (group == nullptr) {
-    reply.status = Errc::kNotFound;
-    send(from, reply);
+    refuse(Status::error(Errc::kNotFound));
     return;
   }
   if (!group->add_member(from, m.role, m.notify_membership)) {
-    reply.status = Errc::kAlreadyExists;
-    reply.text = "already a member";
-    send(from, reply);
+    refuse(Status::error(Errc::kAlreadyExists, "already a member"));
     return;
   }
 
@@ -271,19 +264,17 @@ void CoronaServer::handle_join(NodeId from, const Message& m) {
   // Customized state transfer (§3.2).  The join involves no existing member:
   // everything comes from the server's copy of the shared state.
   TransferContent t = build_transfer(group->state(), m.policy);
-  reply.seq = t.base_seq;
-  reply.state = std::move(t.snapshot);
-  reply.updates = std::move(t.updates);
-  std::size_t bytes = 0;
-  for (const StateEntry& s : reply.state) bytes += s.data.size();
-  for (const UpdateRecord& u : reply.updates) bytes += u.data.size();
-  stats_.transfer_bytes += bytes;
-  reply.members = group->member_list();
-  ++stats_.joins_served;
-  if (config_.client_timeout > 0) client_last_heard_[from] = now();
-  send(from, reply);
+  stats_.transfer_bytes += t.total_bytes();
+  finish_join(*group, from, m.request_id, m.role, std::move(t));
+}
 
-  send_membership_notices(*group, from, m.role, /*joined=*/true);
+void CoronaServer::finish_join(Group& group, NodeId joiner, RequestId rid,
+                               MemberRole role, TransferContent t) {
+  ++stats_.joins_served;
+  if (config_.client_timeout > 0) client_last_heard_[joiner] = now();
+  send(joiner, make_join_reply(group.meta().id, rid, std::move(t),
+                               group.member_list()));
+  send_membership_notices(group, joiner, role, /*joined=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,17 +292,20 @@ void CoronaServer::begin_peer_transfer(Group& group, NodeId joiner,
   for (const auto& [member, info] : group.members()) {
     if (!(member == joiner)) p.remaining_donors.push_back(member);
   }
+  const std::uint64_t token = next_peer_token_++;
+  ask_next_donor(token, p);
+  pending_peer_.emplace(token, std::move(p));
+}
+
+void CoronaServer::ask_next_donor(std::uint64_t token, PendingPeerJoin& p) {
   p.donor = p.remaining_donors.front();
   p.remaining_donors.erase(p.remaining_donors.begin());
-
-  const std::uint64_t token = next_peer_token_++;
   Message q;
   q.type = MsgType::kStateQuery;
   q.group = p.group;
   q.request_id = token;
   send(p.donor, q);
   p.timer = set_timer(config_.peer_timeout, kPeerTagBase + token);
-  pending_peer_.emplace(token, std::move(p));
 }
 
 void CoronaServer::handle_peer_state(NodeId from, const Message& m) {
@@ -321,11 +315,7 @@ void CoronaServer::handle_peer_state(NodeId from, const Message& m) {
     // The donor cannot serve (left / never had the state): fail over to the
     // next one right away.
     cancel_timer(it->second.timer);
-    const std::uint64_t token = it->first;
-    PendingPeerJoin p = std::move(it->second);
-    pending_peer_.erase(it);
-    pending_peer_.emplace(token, std::move(p));
-    peer_transfer_timeout(token);
+    peer_transfer_timeout(it->first);
     return;
   }
   cancel_timer(it->second.timer);
@@ -333,7 +323,9 @@ void CoronaServer::handle_peer_state(NodeId from, const Message& m) {
   pending_peer_.erase(it);
   ++stats_.peer_transfers;
   if (Group* group = find_group(p.group)) {
-    finish_join_reply(*group, p, m.seq, m.state, {});
+    group->add_member(p.joiner, p.role, p.notify);
+    finish_join(*group, p.joiner, p.request_id, p.role,
+                TransferContent{m.seq, m.state, {}});
   }
 }
 
@@ -353,54 +345,22 @@ void CoronaServer::peer_transfer_timeout(std::uint64_t token) {
     // answer, the stateful service is the last resort.
     PendingPeerJoin done = std::move(p);
     pending_peer_.erase(it);
-    TransferContent t = build_transfer(group->state(),
-                                       TransferPolicySpec::full());
-    finish_join_reply(*group, done, t.base_seq, t.snapshot, t.updates);
+    group->add_member(done.joiner, done.role, done.notify);
+    finish_join(*group, done.joiner, done.request_id, done.role,
+                build_transfer(group->state(), TransferPolicySpec::full()));
     return;
   }
-  p.donor = p.remaining_donors.front();
-  p.remaining_donors.erase(p.remaining_donors.begin());
-  Message q;
-  q.type = MsgType::kStateQuery;
-  q.group = p.group;
-  q.request_id = token;
-  send(p.donor, q);
-  p.timer = set_timer(config_.peer_timeout, kPeerTagBase + token);
-}
-
-void CoronaServer::finish_join_reply(Group& group, const PendingPeerJoin& p,
-                                     SeqNo base,
-                                     std::vector<StateEntry> snapshot,
-                                     std::vector<UpdateRecord> updates) {
-  group.add_member(p.joiner, p.role, p.notify);
-  Message reply;
-  reply.type = MsgType::kJoinReply;
-  reply.group = group.meta().id;
-  reply.request_id = p.request_id;
-  reply.seq = base;
-  reply.state = std::move(snapshot);
-  reply.updates = std::move(updates);
-  reply.members = group.member_list();
-  ++stats_.joins_served;
-  if (config_.client_timeout > 0) client_last_heard_[p.joiner] = now();
-  send(p.joiner, reply);
-  send_membership_notices(group, p.joiner, p.role, /*joined=*/true);
+  ask_next_donor(token, p);
 }
 
 void CoronaServer::handle_leave(NodeId from, const Message& m) {
   Group* group = find_group(m.group);
-  if (group == nullptr || !group->remove_member(from)) {
+  if (group == nullptr || !group->is_member(from)) {
     send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
     return;
   }
   // Leaving implicitly releases held locks; queued waiters get grants.
-  for (auto& [obj, grantee] : group->locks().drop_member(from)) {
-    Message grant;
-    grant.type = MsgType::kLockGrant;
-    grant.group = m.group;
-    grant.object = obj;
-    send(grantee, grant);
-  }
+  send_grants(m.group, group->remove_member(from));
   send(from, make_reply(Status::ok(), m.request_id));
   send_membership_notices(*group, from, MemberRole::kPrincipal,
                           /*joined=*/false);
@@ -433,12 +393,7 @@ void CoronaServer::handle_get_membership(NodeId from, const Message& m) {
     send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
     return;
   }
-  Message info;
-  info.type = MsgType::kMembershipInfo;
-  info.group = m.group;
-  info.request_id = m.request_id;
-  info.members = group->member_list();
-  send(from, info);
+  send(from, make_membership_info(m.group, m.request_id, group->member_list()));
 }
 
 void CoronaServer::send_membership_notices(Group& group, NodeId subject,
@@ -600,12 +555,17 @@ void CoronaServer::handle_lock_release(NodeId from, const Message& m) {
     return;
   }
   send(from, make_reply(Status::ok(), m.request_id));
-  if (auto next = result.value()) {
+  if (auto next = result.value()) send_grants(m.group, {{m.object, *next}});
+}
+
+void CoronaServer::send_grants(
+    GroupId g, const std::vector<std::pair<ObjectId, NodeId>>& grants) {
+  for (const auto& [obj, grantee] : grants) {
     Message grant;
     grant.type = MsgType::kLockGrant;
-    grant.group = m.group;
-    grant.object = m.object;
-    send(*next, grant);
+    grant.group = g;
+    grant.object = obj;
+    send(grantee, grant);
   }
 }
 
@@ -668,24 +628,8 @@ void CoronaServer::handle_retransmit(NodeId from, const Message& m) {
     send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
     return;
   }
-  Message reply;
-  reply.type = MsgType::kStateReply;
-  reply.group = m.group;
-  reply.request_id = m.request_id;
-  const SharedState& st = group->state();
-  if (m.seq <= st.base_seq() + 1 && st.base_seq() > 0) {
-    // The requested range was reduced away; ship the consolidated state.
-    reply.seq = st.head_seq();
-    reply.state = st.snapshot();
-  } else {
-    reply.seq = st.base_seq();
-    for (const UpdateRecord& u : st.since(m.seq - 1)) {
-      if (m.seq2 != 0 && u.seq > m.seq2) break;
-      reply.updates.push_back(u);
-    }
-  }
   ++stats_.retransmits_served;
-  send(from, reply);
+  send(from, make_gap_fill(m, group->state()));
 }
 
 void CoronaServer::handle_resend_reply(NodeId from, const Message& m) {
@@ -696,10 +640,8 @@ void CoronaServer::handle_resend_reply(NodeId from, const Message& m) {
   // its own multicasts, so a record naming another sender is dropped.
   const Group* group = find_group(m.group);
   if (group == nullptr || !group->is_member(from)) return;
-  for (const UpdateRecord& orig : m.updates) {
-    if (!(orig.sender == from)) continue;
-    if (group->was_seen(orig.sender, orig.request_id)) continue;
-    UpdateRecord rec = orig;
+  for (UpdateRecord& rec : own_records(m.updates, from)) {
+    if (group->was_seen(rec.sender, rec.request_id)) continue;
     rec.timestamp = now();
     ++stats_.resends_applied;
     drain_batch({PendingDelivery{m.group, std::move(rec),
@@ -727,14 +669,7 @@ void CoronaServer::drop_member_everywhere(NodeId who) {
   std::vector<GroupId> to_erase;
   for (auto& [gid, group] : groups_) {
     if (!group.is_member(who)) continue;
-    group.remove_member(who);
-    for (auto& [obj, grantee] : group.locks().drop_member(who)) {
-      Message grant;
-      grant.type = MsgType::kLockGrant;
-      grant.group = gid;
-      grant.object = obj;
-      send(grantee, grant);
-    }
+    send_grants(gid, group.remove_member(who));
     send_membership_notices(group, who, MemberRole::kPrincipal,
                             /*joined=*/false);
     CORONA_CHECK_INVARIANTS(group);

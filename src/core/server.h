@@ -184,9 +184,12 @@ class CoronaServer : public Node {
   void begin_peer_transfer(Group& group, NodeId joiner, const Message& join);
   void handle_peer_state(NodeId from, const Message& m);
   void peer_transfer_timeout(std::uint64_t token);
-  void finish_join_reply(Group& group, const PendingPeerJoin& p, SeqNo base,
-                         std::vector<StateEntry> snapshot,
-                         std::vector<UpdateRecord> updates);
+  // Moves the transfer to its next donor: asks it for the state and arms the
+  // donor's timeout.
+  void ask_next_donor(std::uint64_t token, PendingPeerJoin& p);
+  // Replies to a joiner already added to `group` and notifies the members.
+  void finish_join(Group& group, NodeId joiner, RequestId rid, MemberRole role,
+                   TransferContent t);
 
   // -- internals -------------------------------------------------------------
   // One multicast awaiting sequencing (batch queue) or delivery (sync hold).
@@ -208,6 +211,9 @@ class CoronaServer : public Node {
   CORONA_HOT_PATH void deliver(const std::vector<PendingDelivery>& items);
   void send_membership_notices(Group& group, NodeId subject, MemberRole role,
                                bool joined);
+  // Sends kLockGrant for each (object, new holder) pair.
+  void send_grants(GroupId g,
+                   const std::vector<std::pair<ObjectId, NodeId>>& grants);
   void perform_reduction(Group& group, SeqNo upto);
   void maybe_reduce(Group& group);
   void drop_member_everywhere(NodeId who);  // leave/disconnect cleanup

@@ -1,5 +1,6 @@
 #include "core/stateless_server.h"
 
+#include "core/state_transfer.h"
 #include "util/logging.h"
 
 namespace corona {
@@ -20,20 +21,16 @@ void StatelessServer::on_message(NodeId from, const Message& m) {
     }
     case MsgType::kJoin: {
       auto it = groups_.find(m.group);
-      Message reply;
-      reply.type = MsgType::kJoinReply;
-      reply.group = m.group;
-      reply.request_id = m.request_id;
       if (it == groups_.end()) {
-        reply.status = Errc::kNotFound;
-      } else {
-        it->second.members.emplace(from, m.role);
-        reply.seq = it->second.next_seq - 1;
-        for (const auto& [node, role] : it->second.members) {
-          reply.members.push_back(MemberInfo{node, role});
-        }
+        send(from, make_refusal(MsgType::kJoinReply, m.group, m.request_id,
+                                Status::error(Errc::kNotFound)));
+        break;
       }
-      send(from, reply);
+      // No state to transfer: the joiner is synchronized to the last seq.
+      it->second.members.emplace(from, m.role);
+      send(from, make_join_reply(m.group, m.request_id,
+                                 TransferContent{it->second.next_seq - 1, {}, {}},
+                                 member_list(it->second.members)));
       break;
     }
     case MsgType::kLeave: {
@@ -49,16 +46,10 @@ void StatelessServer::on_message(NodeId from, const Message& m) {
     }
     case MsgType::kGetMembership: {
       auto it = groups_.find(m.group);
-      Message info;
-      info.type = MsgType::kMembershipInfo;
-      info.group = m.group;
-      info.request_id = m.request_id;
-      if (it != groups_.end()) {
-        for (const auto& [node, role] : it->second.members) {
-          info.members.push_back(MemberInfo{node, role});
-        }
-      }
-      send(from, info);
+      send(from, make_membership_info(
+                     m.group, m.request_id,
+                     it == groups_.end() ? std::vector<MemberInfo>{}
+                                         : member_list(it->second.members)));
       break;
     }
     case MsgType::kBcastState:

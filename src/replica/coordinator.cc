@@ -47,18 +47,7 @@ void ReplicaServer::become_coordinator(std::uint64_t term) {
                lg.state.history());
     coord_persist_create(cg);
     repl_.add_backup(g, id());
-    for (const auto& [client, info] : lg.local_members) {
-      Message op;
-      op.type = MsgType::kGroupOp;
-      op.fwd_type = MsgType::kJoin;
-      op.group = g;
-      op.sender = client;
-      op.origin_server = id();
-      op.role = info.role;
-      op.notify_membership = info.notify;
-      op.sender_inclusive = true;  // silent re-registration
-      send(id(), op);
-    }
+    reregister_members(g, lg);
   }
 
   // Cold-start recovery: persistent groups on this server's durable store
@@ -116,8 +105,7 @@ void ReplicaServer::coord_drop_server(NodeId leaf) {
       if (info.leaf == leaf) lost.push_back(client);
     }
     for (NodeId client : lost) {
-      cg.remove_member(client);
-      for (auto& [obj, grantee] : cg.locks().drop_member(client)) {
+      for (auto& [obj, grantee] : cg.remove_member(client)) {
         coord_route_lock_grant(g, obj, grantee);
       }
       coord_send_notice(cg, client, MemberRole::kPrincipal, /*joined=*/false);
@@ -294,14 +282,20 @@ void ReplicaServer::coord_op_delete(NodeId leaf, const Message& m) {
     coord_send_result(leaf, m, Status::error(Errc::kNotFound));
     return;
   }
+  coord_erase_group(m.group);
+  coord_send_result(leaf, m, Status::ok());
+}
+
+void ReplicaServer::coord_erase_group(GroupId g) {
+  // Every holder drops its copy and tells each of its members, the deleter
+  // included.
   Message note;
   note.type = MsgType::kGroupDeleted;
-  note.group = m.group;
-  for (NodeId holder : repl_.holders(m.group)) send(holder, note);
-  cgroups_.erase(m.group);
-  repl_.drop_group(m.group);
-  store_->remove_group(m.group);
-  coord_send_result(leaf, m, Status::ok());
+  note.group = g;
+  for (NodeId holder : repl_.holders(g)) send(holder, note);
+  cgroups_.erase(g);
+  repl_.drop_group(g);
+  store_->remove_group(g);
 }
 
 void ReplicaServer::coord_op_join(NodeId leaf, const Message& m) {
@@ -326,8 +320,7 @@ void ReplicaServer::coord_op_leave(NodeId leaf, const Message& m) {
     coord_send_result(leaf, m, Status::error(Errc::kNotFound));
     return;
   }
-  cg->remove_member(m.sender);
-  for (auto& [obj, grantee] : cg->locks().drop_member(m.sender)) {
+  for (auto& [obj, grantee] : cg->remove_member(m.sender)) {
     coord_route_lock_grant(m.group, obj, grantee);
   }
   coord_send_notice(*cg, m.sender, m.role, /*joined=*/false);
@@ -358,15 +351,7 @@ void ReplicaServer::coord_op_leave(NodeId leaf, const Message& m) {
   }
 
   // Persistent groups outlive null membership; transient ones die (§3.1).
-  if (cg->member_count() == 0 && !cg->persistent()) {
-    Message note;
-    note.type = MsgType::kGroupDeleted;
-    note.group = m.group;
-    for (NodeId holder : repl_.holders(m.group)) send(holder, note);
-    cgroups_.erase(m.group);
-    repl_.drop_group(m.group);
-    store_->remove_group(m.group);
-  }
+  if (cg->member_count() == 0 && !cg->persistent()) coord_erase_group(m.group);
 }
 
 void ReplicaServer::coord_send_notice(const Group& cg, NodeId subject,
@@ -501,44 +486,21 @@ void ReplicaServer::coord_op_reduce(NodeId leaf, const Message& m) {
 
 void ReplicaServer::coord_handle_state_query(NodeId from, const Message& m) {
   const Group* cg = coord_find(m.group);
-  Message reply;
-  reply.type = MsgType::kStateReply;
-  reply.group = m.group;
-  reply.request_id = m.request_id;
   if (cg == nullptr) {
-    reply.status = Errc::kNotFound;
-    send(from, reply);
+    send(from, make_refusal(MsgType::kStateReply, m.group, m.request_id,
+                            Status::error(Errc::kNotFound)));
     return;
   }
-  const SharedState& st = cg->state();
   if (m.type == MsgType::kRetransmitReq) {
-    if (m.seq <= st.base_seq() && st.base_seq() > 0) {
-      reply.seq = st.base_seq();
-      reply.state = st.snapshot_at_base();
-      reply.updates = st.history();
-      reply.text = cg->meta().name;
-      reply.persistent = cg->meta().persistent;
-    } else {
-      reply.seq = st.base_seq();
-      for (const UpdateRecord& u : st.since(m.seq - 1)) {
-        if (m.seq2 != 0 && u.seq > m.seq2) break;
-        reply.updates.push_back(u);
-      }
-    }
-    send(from, reply);
+    send(from, make_gap_fill(m, *cg));
     return;
   }
-  // Full-fidelity install for a leaf that will support the group: base
-  // snapshot plus retained history, so the leaf can serve last-n joins.
-  reply.seq = st.base_seq();
-  reply.state = st.snapshot_at_base();
-  reply.updates = st.history();
-  reply.text = cg->meta().name;
-  reply.persistent = cg->meta().persistent;
-  // The asking leaf becomes a copy holder right away so no sequenced
-  // multicast is skipped between this reply and the member's join op.
+  // The full copy installs a leaf that will support the group.  The asking
+  // leaf becomes a copy holder right away so no sequenced multicast is
+  // skipped between this reply and the member's join op.
   repl_.add_backup(m.group, from);
-  send(from, reply);
+  send(from, make_full_copy(cg->meta(), cg->state(), cg->member_list(),
+                            m.request_id));
 }
 
 // ---------------------------------------------------------------------------
@@ -585,8 +547,7 @@ void ReplicaServer::coord_handle_takeover_state(NodeId from, const Message& m) {
     pending_fwd_.erase(m.group);
     return;
   }
-  Group cg(GroupMeta{m.group, m.text, m.persistent});
-  cg.restore(m.seq, m.state, m.updates);
+  Group cg = restore_full_copy(m);
   coord_persist_create(cg);
   cgroups_.insert_or_assign(m.group, std::move(cg));
   coord_finish_takeover();
@@ -652,19 +613,13 @@ void ReplicaServer::coord_handle_digest_request(NodeId from, const Message& m) {
   // Ship, per group: the digest of the retained history plus the branch
   // content itself (base snapshot + records), then a sentinel.
   for (const auto& [g, cg] : cgroups_) {
-    Message reply;
+    Message reply = make_full_copy(cg.meta(), cg.state(), cg.member_list());
     reply.type = MsgType::kDigestReply;
-    reply.group = g;
-    reply.seq = cg.state().base_seq();
-    reply.text = cg.meta().name;
-    reply.persistent = cg.meta().persistent;
     const BranchDigest digest = make_branch_digest(cg.state());
     for (const auto& [seq, hash] : digest.entries) {
       reply.u64s.push_back(seq);
       reply.u64s.push_back(hash);
     }
-    reply.state = cg.state().snapshot_at_base();
-    reply.updates = cg.state().history();
     send(from, reply);
   }
   Message sentinel;
@@ -686,8 +641,7 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
   if (mine == nullptr) {
     // The group only exists on the other side (created during the
     // partition): adopt it wholesale, no conflict.
-    Group cg(GroupMeta{m.group, m.text, m.persistent});
-    cg.restore(m.seq, m.state, m.updates);
+    Group cg = restore_full_copy(m);
     coord_persist_create(cg);
     cgroups_.emplace(m.group, std::move(cg));
     ++stats_.reconciled_groups;
@@ -757,15 +711,8 @@ void ReplicaServer::coord_install_merged(GroupId g, SeqNo fork,
 
 void ReplicaServer::coord_push_group_state(GroupId g) {
   const Group& cg = cgroups_.at(g);
-  Message push;
-  push.type = MsgType::kStateReply;
+  Message push = make_full_copy(cg.meta(), cg.state(), cg.member_list());
   push.accept = true;  // authoritative push: receivers reload
-  push.group = g;
-  push.seq = cg.state().base_seq();
-  push.state = cg.state().snapshot_at_base();
-  push.updates = cg.state().history();
-  push.text = cg.meta().name;
-  push.persistent = cg.meta().persistent;
   for (NodeId holder : repl_.holders(g)) {
     if (!(holder == id())) send(holder, push);
   }
@@ -781,8 +728,7 @@ void ReplicaServer::coord_handle_push(NodeId from, const Message& m) {
   // Authoritative post-reconciliation state from the surviving coordinator:
   // replace our copy (keeping its members), relay to our side's holders,
   // and refresh local members.
-  Group cg(GroupMeta{m.group, m.text, m.persistent});
-  cg.restore(m.seq, m.state, m.updates);
+  Group cg = restore_full_copy(m);
   if (const Group* old = coord_find(m.group)) {
     for (const auto& [client, info] : old->members()) {
       cg.set_member(client, info);

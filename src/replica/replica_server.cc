@@ -65,22 +65,23 @@ void ReplicaServer::adopt_coordinator(NodeId coord, std::uint64_t term) {
   hello.u64s = encode_group_heads(local_group_heads());
   send(coordinator_, hello);
 
-  // Re-register every local member so a freshly elected coordinator can
-  // rebuild the global member->leaf map.  The sender_inclusive flag marks a
-  // silent re-registration: no membership notices are broadcast for it.
-  for (const auto& [g, lg] : local_) {
-    for (const auto& [client, info] : lg.local_members) {
-      Message op;
-      op.type = MsgType::kGroupOp;
-      op.fwd_type = MsgType::kJoin;
-      op.group = g;
-      op.sender = client;
-      op.origin_server = id();
-      op.role = info.role;
-      op.notify_membership = info.notify;
-      op.sender_inclusive = true;  // silent
-      send(coordinator_, op);
-    }
+  for (const auto& [g, lg] : local_) reregister_members(g, lg);
+}
+
+void ReplicaServer::reregister_members(GroupId g, const LocalGroup& lg) {
+  // The sender_inclusive flag marks a silent re-registration: no membership
+  // notices are broadcast for it.
+  for (const auto& [client, info] : lg.local_members) {
+    Message op;
+    op.type = MsgType::kGroupOp;
+    op.fwd_type = MsgType::kJoin;
+    op.group = g;
+    op.sender = client;
+    op.origin_server = id();
+    op.role = info.role;
+    op.notify_membership = info.notify;
+    op.sender_inclusive = true;  // silent
+    send(coordinator_, op);
   }
 }
 
@@ -105,7 +106,7 @@ std::vector<NodeId> ReplicaServer::coord_holders(GroupId g) const {
 // Replica dispatch surface: every MsgType must be handled below or waived.
 // lint-dispatch: MsgType
 // dispatch-ignore: kInvalid -- sentinel; the decoder rejects it upstream
-// dispatch-ignore: kReply kDeliver -- emitted to clients, never received
+// dispatch-ignore: kReply kDeliver kMembershipInfo -- emitted to clients only
 // dispatch-ignore: kResendRequest -- sent to clients, handled client-side
 void ReplicaServer::on_message(NodeId from, const Message& m) {
   if (from == coordinator_) coord_fd_.heard_from(from, now());
@@ -128,14 +129,8 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
         send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
         break;
       }
-      Message info;
-      info.type = MsgType::kMembershipInfo;
-      info.group = m.group;
-      info.request_id = m.request_id;
-      for (const auto& [node, role] : it->second.global_members) {
-        info.members.push_back(MemberInfo{node, role});
-      }
-      send(from, info);
+      send(from, make_membership_info(m.group, m.request_id,
+                                      member_list(it->second.global_members)));
       break;
     }
     case MsgType::kRetransmitReq: {
@@ -150,21 +145,7 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
         send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
         break;
       }
-      Message reply;
-      reply.type = MsgType::kStateReply;
-      reply.group = m.group;
-      const SharedState& st = it->second.state;
-      if (m.seq <= st.base_seq() && st.base_seq() > 0) {
-        reply.seq = st.head_seq();
-        reply.state = st.snapshot();
-      } else {
-        reply.seq = st.base_seq();
-        for (const UpdateRecord& u : st.since(m.seq - 1)) {
-          if (m.seq2 != 0 && u.seq > m.seq2) break;
-          reply.updates.push_back(u);
-        }
-      }
-      send(from, reply);
+      send(from, make_gap_fill(m, it->second.state));
       break;
     }
     case MsgType::kResendReply: {
@@ -174,9 +155,7 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
       // relay resends that were filtered this way already.
       Message fwd = m;
       if (!registry_.contains(from)) {
-        std::erase_if(fwd.updates, [from](const UpdateRecord& u) {
-          return !(u.sender == from);
-        });
+        fwd.updates = own_records(std::move(fwd.updates), from);
       }
       if (is_coordinator()) {
         coord_handle_resend(fwd);
@@ -199,23 +178,12 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
       } else if (local_.contains(m.group)) {
         // Takeover pull served from a leaf copy.
         const LocalGroup& lg = local_.at(m.group);
-        Message reply;
-        reply.type = MsgType::kStateReply;
-        reply.group = m.group;
-        reply.request_id = m.request_id;
-        reply.seq = lg.state.base_seq();
-        reply.state = lg.state.snapshot_at_base();
-        reply.updates = lg.state.history();
-        reply.text = lg.meta.name;
-        reply.persistent = lg.meta.persistent;
-        send(from, reply);
+        send(from, make_full_copy(lg.meta, lg.state,
+                                  member_list(lg.global_members),
+                                  m.request_id));
       } else {
-        Message reply;
-        reply.type = MsgType::kStateReply;
-        reply.group = m.group;
-        reply.request_id = m.request_id;
-        reply.status = Errc::kNotFound;
-        send(from, reply);
+        send(from, make_refusal(MsgType::kStateReply, m.group, m.request_id,
+                                Status::error(Errc::kNotFound)));
       }
       break;
     }
@@ -351,15 +319,10 @@ void ReplicaServer::leaf_handle_join(NodeId from, const Message& m) {
 
 void ReplicaServer::leaf_serve_join(LocalGroup& lg, NodeId client,
                                     const Message& m) {
-  Message reply;
-  reply.type = MsgType::kJoinReply;
-  reply.group = m.group;
-  reply.request_id = m.request_id;
-
   if (lg.local_members.contains(client)) {
-    reply.status = Errc::kAlreadyExists;
-    reply.text = "already a member";
-    send(client, reply);
+    send(client, make_refusal(MsgType::kJoinReply, m.group, m.request_id,
+                              Status::error(Errc::kAlreadyExists,
+                                            "already a member")));
     return;
   }
   lg.local_members[client] = LocalMember{m.role, m.notify_membership};
@@ -367,14 +330,9 @@ void ReplicaServer::leaf_serve_join(LocalGroup& lg, NodeId client,
 
   // Local-first join (§4.1): served entirely from the leaf's copy, without
   // involving the existing members or waiting for the coordinator.
-  TransferContent t = build_transfer(lg.state, m.policy);
-  reply.seq = t.base_seq;
-  reply.state = std::move(t.snapshot);
-  reply.updates = std::move(t.updates);
-  for (const auto& [node, role] : lg.global_members) {
-    reply.members.push_back(MemberInfo{node, role});
-  }
-  send(client, reply);
+  send(client, make_join_reply(m.group, m.request_id,
+                               build_transfer(lg.state, m.policy),
+                               member_list(lg.global_members)));
 
   forward_group_op(client, m);
 }
@@ -480,21 +438,12 @@ void ReplicaServer::leaf_apply_and_fanout(LocalGroup& lg,
 // Leaf: state replies (installs, gap fills, authoritative pushes)
 // ---------------------------------------------------------------------------
 
-void ReplicaServer::leaf_install_state(LocalGroup& lg, const Message& m) {
-  lg.meta = GroupMeta{m.group, m.text, m.persistent};
-  lg.state.load(m.seq, m.state, m.updates);
-  lg.awaiting_fill = false;
-}
-
 void ReplicaServer::leaf_reload(LocalGroup& lg, const Message& m) {
-  leaf_install_state(lg, m);
+  lg.meta = install_full_copy(m, lg.state);
+  lg.awaiting_fill = false;
   // Queued deliveries must not arrive after a snapshot that supersedes them.
   stats_.fanout_batch_frames += to_clients_.ship(*this);
-  Message push;
-  push.type = MsgType::kStateReply;
-  push.group = lg.meta.id;
-  push.seq = lg.state.head_seq();
-  push.state = lg.state.snapshot();
+  const Message push = make_member_resync(lg.meta.id, 0, lg.state);
   for (const auto& [member, info] : lg.local_members) {
     send(member, push);
   }
@@ -510,12 +459,8 @@ void ReplicaServer::leaf_handle_state_reply(NodeId from, const Message& m) {
     auto pit = pending_joins_.find(g);
     if (pit != pending_joins_.end()) {
       for (auto& [client, join] : pit->second) {
-        Message reply;
-        reply.type = MsgType::kJoinReply;
-        reply.group = g;
-        reply.request_id = join.request_id;
-        reply.status = m.status;
-        send(client, reply);
+        send(client, make_refusal(MsgType::kJoinReply, g, join.request_id,
+                                  Status::error(m.status)));
       }
       pending_joins_.erase(pit);
     }
@@ -529,10 +474,13 @@ void ReplicaServer::leaf_handle_state_reply(NodeId from, const Message& m) {
     return;
   }
   if (it == local_.end()) {
-    // Fresh install for pending joins / backup assignment.
+    // Fresh install for pending joins / backup assignment.  The copy's
+    // member list is the leaf's global view: notices for members that
+    // joined before the copy arrived were dropped here.
     awaiting_state_.erase(g);
     LocalGroup& lg = local_[g];
-    leaf_install_state(lg, m);
+    lg.meta = install_full_copy(m, lg.state);
+    for (const MemberInfo& mi : m.members) lg.global_members[mi.node] = mi.role;
     auto pit = pending_joins_.find(g);
     if (pit != pending_joins_.end()) {
       auto joins = std::move(pit->second);

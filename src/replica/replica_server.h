@@ -151,6 +151,9 @@ class ReplicaServer : public Node {
 
   void become_coordinator(std::uint64_t term);
   void adopt_coordinator(NodeId coord, std::uint64_t term);
+  // Re-registers the leaf's members of `g` with the coordinator, which
+  // rebuilds its global member->leaf map from them after an election.
+  void reregister_members(GroupId g, const LocalGroup& lg);
   std::vector<GroupHead> local_group_heads() const;
 
   // ====================== leaf side ===================================
@@ -165,10 +168,8 @@ class ReplicaServer : public Node {
                                              bool sender_inclusive,
                                              NodeId origin);
   void leaf_handle_state_reply(NodeId from, const Message& m);
-  // Loads the copy from a state reply (snapshot at m.seq + retained history).
-  void leaf_install_state(LocalGroup& lg, const Message& m);
-  // Replaces a held copy with an authoritative state, keeping its members,
-  // and resynchronizes them with a full snapshot.
+  // Replaces a held copy with a full copy, keeping its members, and
+  // resynchronizes them with the member resync.
   void leaf_reload(LocalGroup& lg, const Message& m);
   void leaf_handle_notice(const Message& m);
   void leaf_handle_group_op_result(const Message& m);
@@ -198,6 +199,7 @@ class ReplicaServer : public Node {
   void coord_op_lock(NodeId leaf, const Message& m);
   void coord_op_unlock(NodeId leaf, const Message& m);
   void coord_op_reduce(NodeId leaf, const Message& m);
+  void coord_erase_group(GroupId g);  // delete, or a transient group's end
   void coord_handle_state_query(NodeId from, const Message& m);
   void coord_handle_resend(const Message& m);
   void coord_handle_hello(NodeId from, const Message& m);

@@ -285,8 +285,29 @@ TEST(Group, MembershipAddRemove) {
   EXPECT_TRUE(g.add_member(NodeId{100}, MemberRole::kPrincipal, true));
   EXPECT_FALSE(g.add_member(NodeId{100}, MemberRole::kObserver, false));
   EXPECT_TRUE(g.is_member(NodeId{100}));
-  EXPECT_TRUE(g.remove_member(NodeId{100}));
-  EXPECT_FALSE(g.remove_member(NodeId{100}));
+  g.remove_member(NodeId{100});
+  EXPECT_FALSE(g.is_member(NodeId{100}));
+  EXPECT_TRUE(g.remove_member(NodeId{100}).empty());  // not a member: no-op
+}
+
+TEST(Group, RemoveMemberReleasesItsLocks) {
+  // Leaving releases the member's locks and queued requests, so the grants
+  // come back with the removal and no lock names a non-member.
+  Group g(GroupMeta{GroupId{1}, "g", false});
+  for (std::uint64_t n : {100, 101, 102}) {
+    g.add_member(NodeId{n}, MemberRole::kPrincipal, false);
+  }
+  g.locks().acquire(ObjectId{1}, NodeId{100});
+  g.locks().acquire(ObjectId{1}, NodeId{101});
+  g.locks().acquire(ObjectId{1}, NodeId{102});
+  g.locks().acquire(ObjectId{2}, NodeId{101});
+  EXPECT_TRUE(g.remove_member(NodeId{101}).empty());  // queued on 1, holds 2
+  EXPECT_EQ(g.locks().waiters(ObjectId{1}), 1u);
+  EXPECT_FALSE(g.locks().holder(ObjectId{2}).has_value());
+  const auto grants = g.remove_member(NodeId{100});
+  ASSERT_EQ(grants.size(), 1u);
+  EXPECT_EQ(grants[0], std::make_pair(ObjectId{1}, NodeId{102}));
+  EXPECT_TRUE(g.check_invariants().ok()) << g.check_invariants().to_string();
 }
 
 TEST(Group, MemberListDeterministicOrder) {

@@ -169,43 +169,6 @@ TEST(ReplicaEdge, ResendDedupSurvivesCoordinatorChange) {
   (void)w;
 }
 
-TEST(ReplicaEdge, ForgedResendIsDroppedAtTheLeaf) {
-  // A client resends only its own multicasts.  A resend arriving at a leaf
-  // with a record that names another member as its sender is forged: the
-  // leaf drops that record before forwarding, so the coordinator never
-  // sequences it under the other member's name.
-  ReplicatedWorld w(3, 2);  // client 0 on leaf 1, client 1 on leaf 2
-  w.client(0).create_group(kG, "g", true);
-  w.settle();
-  w.client(0).join(kG);
-  w.client(1).join(kG);
-  w.settle();
-  w.client(0).bcast_update(kG, kObj, to_bytes("real;"));
-  w.settle();
-
-  UpdateRecord forged;
-  forged.kind = PayloadKind::kUpdate;
-  forged.object = kObj;
-  forged.data = to_bytes("forged;");
-  forged.sender = client_id(0);  // not the resending client
-  forged.request_id = 999;
-  UpdateRecord own = forged;
-  own.data = to_bytes("own;");
-  own.sender = client_id(1);
-  own.request_id = 998;
-  Message resend;
-  resend.type = MsgType::kResendReply;
-  resend.group = kG;
-  resend.updates = {forged, own};
-  w.leaf(2).on_message(client_id(1), resend);
-  w.settle();
-
-  EXPECT_EQ(to_string(*w.coordinator().coord_state(kG)->object(kObj)),
-            "real;own;");
-  EXPECT_EQ(to_string(*w.client(0).group_state(kG)->object(kObj)),
-            "real;own;");
-}
-
 TEST(ReplicaEdge, RestartedServerRejoinsRegistry) {
   ReplicatedWorld w(3, 0);
   EXPECT_TRUE(w.coordinator().registry().contains(w.server_ids[2]));
@@ -220,6 +183,35 @@ TEST(ReplicaEdge, RestartedServerRejoinsRegistry) {
   EXPECT_TRUE(w.coordinator().registry().contains(w.server_ids[2]));
   EXPECT_EQ(fresh->coordinator(), w.server_ids[0]);
   w.servers[2] = std::move(fresh);
+}
+
+TEST(ReplicaEdge, JoinThroughABackupLeafListsEveryMember) {
+  // Client 0's join on leaf 1 makes leaf 2 the backup, and leaf 2 pulls its
+  // copy after the join registered at the coordinator.  The notice of that
+  // join reached leaf 2 before its copy did, so only the copy's member list
+  // tells leaf 2 about client 0.
+  std::vector<MemberInfo> seen;
+  CoronaClient::Callbacks cb;
+  cb.on_membership_info = [&](GroupId, const std::vector<MemberInfo>& m) {
+    seen = m;
+  };
+  ReplicatedWorld w(3, 2, ReplicaConfig{}, cb);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.settle();
+  ASSERT_TRUE(w.leaf(2).holds_copy(kG));  // the backup copy
+  w.client(1).get_membership(kG);  // answered by leaf 2
+  w.settle();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].node, client_id(0));
+
+  w.client(1).join(kG);
+  w.settle();
+  const std::vector<MemberInfo> known = w.client(1).known_members(kG);
+  ASSERT_EQ(known.size(), 2u);
+  EXPECT_EQ(known[0].node, client_id(0));
+  EXPECT_EQ(known[1].node, client_id(1));
 }
 
 TEST(ReplicaEdge, GetMembershipServedFromLeafView) {

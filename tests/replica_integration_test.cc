@@ -354,6 +354,59 @@ TEST(Replicated, CoordinatorCrashElectsFirstInList) {
             "before;after;");
 }
 
+TEST(Replicated, TakeoverPullsAGroupTheNewCoordinatorDoesNotHold) {
+  // The new coordinator learns which leaves hold which groups only from
+  // their hellos.  Here leaf 1, first in line, holds no copy: its backup
+  // was released once leaves 2 and 3 both supported the group.  The group
+  // survives the takeover only because the hellos report the held heads.
+  ReplicatedWorld w(4, 3);  // client 1 on leaf 2, client 2 on leaf 3
+  w.client(1).create_group(kG, "g", true);
+  w.settle();
+  w.client(1).join(kG);
+  w.client(2).join(kG);
+  w.settle();
+  w.client(1).bcast_update(kG, kObj, to_bytes("before;"));
+  w.settle();
+  ASSERT_FALSE(w.leaf(1).holds_copy(kG));
+
+  w.rt.crash(w.server_ids[0]);
+  w.run_ms(6000);
+  ASSERT_TRUE(w.leaf(1).is_coordinator());
+  ASSERT_NE(w.leaf(1).coord_state(kG), nullptr);
+  w.client(2).bcast_update(kG, kObj, to_bytes("after;"));
+  w.run_ms(2000);
+  EXPECT_EQ(to_string(*w.leaf(1).coord_state(kG)->object(kObj)),
+            "before;after;");
+  EXPECT_EQ(to_string(*w.client(1).group_state(kG)->object(kObj)),
+            "before;after;");
+}
+
+TEST(Replicated, CoordinatorRefusesAGroupOpItDoesNotServe) {
+  // Leaves forward only create, delete, join, leave, lock and reduce as
+  // group ops.  Anything else arriving as one (here a multicast) is
+  // refused with kInvalidArgument, routed back like any op result.
+  ReplicatedWorld w(2, 1);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  struct Recorder final : Node {
+    void on_message(NodeId, const Message& m) override { got.push_back(m); }
+    void ask(NodeId to, const Message& m) { send(to, m); }
+    std::vector<Message> got;
+  } probe;
+  w.rt.add_node(NodeId{900}, &probe, w.rt.network().add_host(HostProfile{}));
+  Message op = make_bcast(PayloadKind::kUpdate, kG, kObj, to_bytes("x"),
+                          /*sender_inclusive=*/true, /*rid=*/7);
+  op.fwd_type = op.type;
+  op.type = MsgType::kGroupOp;
+  op.sender = client_id(0);
+  probe.ask(w.server_ids[0], op);
+  w.settle();
+  ASSERT_EQ(probe.got.size(), 1u);
+  EXPECT_EQ(probe.got[0].type, MsgType::kGroupOpResult);
+  EXPECT_EQ(probe.got[0].status, Errc::kInvalidArgument);
+  EXPECT_EQ(probe.got[0].request_id, 7u);
+}
+
 TEST(Replicated, ElectionSkipsDeadFirstServer) {
   // Coordinator AND first leaf crash simultaneously: the second leaf must
   // take over after its longer staged timeout (paper: "k+1 servers tolerate
@@ -624,27 +677,6 @@ TEST(Replicated, BoundedRetransmitRangeIsInclusive) {
   ASSERT_EQ(probe.replies, 2);
   EXPECT_EQ(probe.got, (std::vector<SeqNo>{2, 3, 4}));
   EXPECT_TRUE(probe.refusals.empty());
-}
-
-TEST(Replicated, LeafRefusesRetransmitToNonMember) {
-  // A gap fill ships group state, so a leaf answers it for its own local
-  // members only; anyone else learns kNotMember and sees no records.
-  ReplicatedWorld w(2, 1);
-  w.client(0).create_group(kG, "g", true);
-  w.settle();
-  w.client(0).join(kG);
-  w.settle();
-  w.client(0).bcast_update(kG, kObj, to_bytes("secret"));
-  w.settle();
-
-  RangeProbe probe;
-  w.rt.add_node(NodeId{900}, &probe,
-                w.rt.network().add_host(HostProfile{}));
-  probe.query(w.server_ids[1], kG, /*from=*/1, /*to=*/0);
-  w.settle();
-  EXPECT_EQ(probe.replies, 0);
-  EXPECT_TRUE(probe.got.empty());
-  EXPECT_EQ(probe.refusals, (std::vector<Errc>{Errc::kNotMember}));
 }
 
 TEST(Replicated, LeafRejectsBcastFromNonMember) {

@@ -311,8 +311,11 @@ TEST(ServerClient, DeleteGroupNotifiesMembers) {
   w.client(1).delete_group(kG);
   w.settle();
   EXPECT_FALSE(w.server->has_group(kG));
-  EXPECT_EQ(deleted_seen, 1);  // client 0 (client 1 gets the kReply instead)
+  // Both members, the deleter too (it also gets the kReply): no member
+  // keeps a replica of the deleted group.
+  EXPECT_EQ(deleted_seen, 2);
   EXPECT_FALSE(w.client(0).is_joined(kG));
+  EXPECT_FALSE(w.client(1).is_joined(kG));
 }
 
 TEST(ServerClient, LocksGrantQueueAndRelease) {
@@ -400,121 +403,22 @@ TEST(ServerClient, ClientRequestedLogReduction) {
             "uuuuuuuuuu");
 }
 
-TEST(ServerClient, RetransmitAtReductionBoundaryShipsSnapshot) {
-  // A retransmit request for exactly base_seq + 1 sits on the reduction
-  // boundary, and the server's contract is inclusive: boundary requests get
-  // the consolidated snapshot, not a record range.  The two replies are not
-  // interchangeable — a snapshot reply reloads the replica wholesale, while
-  // range records below the recipient's next_expected are dropped — so the
-  // branch taken is visible in the client's replica shape.
-  SingleServerWorld w(1);
-  w.client(0).create_group(kG, "g", true);
-  w.settle();
-  w.client(0).join(kG);
-  w.settle();
-  for (int i = 0; i < 5; ++i) {
-    w.client(0).bcast_update(kG, kObj, to_bytes("a"));
-  }
-  w.settle();
-  w.client(0).reduce_log(kG);  // server: base_seq 5, history empty
-  w.settle();
-  for (int i = 0; i < 3; ++i) {
-    w.client(0).bcast_update(kG, kObj, to_bytes("b"));
-  }
-  w.settle();
-  ASSERT_EQ(w.server->group(kG)->state().base_seq(), 5u);
-  ASSERT_EQ(w.server->group(kG)->state().history_size(), 3u);
-  const SharedState* cs = w.client(0).group_state(kG);
-  ASSERT_NE(cs, nullptr);
-  ASSERT_EQ(cs->history_size(), 8u);  // clients don't trim on kLogReduced
-
-  // Ask for the boundary record (seq 6 == base_seq + 1, open-ended).
-  Message req;
-  req.type = MsgType::kRetransmitReq;
-  req.group = kG;
-  req.seq = 6;
-  req.seq2 = 0;
-  w.server->on_message(client_id(0), req);
-  w.settle();
-
-  // The consolidated snapshot replaces the client's replayed history; a
-  // record-range reply would have left all 8 records in place (seqs 6..8
-  // are below the caught-up client's next_expected of 9).
-  EXPECT_EQ(cs->history_size(), 0u);
-  EXPECT_EQ(cs->base_seq(), 8u);
-  EXPECT_EQ(to_string(*cs->object(kObj)), "aaaaabbb");
-}
-
-// A raw protocol endpoint that records every message it receives.
-class Probe final : public Node {
- public:
-  void on_message(NodeId, const Message& m) override { got.push_back(m); }
-  void ask(NodeId to, const Message& m) { send(to, m); }
-  std::vector<Message> got;
-};
-
-TEST(ServerClient, RetransmitServesMembersOnly) {
-  // A gap fill ships group state, so only a member may ask for one: anyone
-  // else learns kNotMember and sees no records, while a member's own gap
-  // fill is still served.
-  SingleServerWorld w(1);
-  w.client(0).create_group(kG, "g", true);
-  w.settle();
-  w.client(0).join(kG);
-  w.settle();
-  w.client(0).bcast_update(kG, kObj, to_bytes("secret"));
-  w.settle();
-
-  Probe probe;
-  w.rt.add_node(NodeId{900}, &probe, w.rt.network().add_host(HostProfile{}));
+TEST(ServerClient, GapFillForAnUnknownGroupIsNotFound) {
+  // A gap fill names its group; the server answers one for a group it does
+  // not have with kNotFound instead of state.
+  std::vector<Status> replies;
+  CoronaClient::Callbacks cb;
+  cb.on_reply = [&](RequestId, Status s) { replies.push_back(s); };
+  SingleServerWorld w(1, ServerConfig{}, cb);
   Message req;
   req.type = MsgType::kRetransmitReq;
   req.group = kG;
   req.seq = 1;
-  probe.ask(kServerId, req);
-  w.settle();
-  ASSERT_EQ(probe.got.size(), 1u);
-  EXPECT_EQ(probe.got[0].type, MsgType::kReply);
-  EXPECT_EQ(probe.got[0].status, Errc::kNotMember);
-  EXPECT_EQ(w.server->stats().retransmits_served, 0u);
-
   w.server->on_message(client_id(0), req);
   w.settle();
-  EXPECT_EQ(w.server->stats().retransmits_served, 1u);
-}
-
-TEST(ServerClient, ResendNamingAnotherSenderIsDropped) {
-  // A client resends only its own multicasts (CoronaClient::remember_send
-  // stamps sender = id()).  A resent record that names another member as
-  // its sender is forged and must not be sequenced under that name; the
-  // resender's own records still are.
-  SingleServerWorld w(2);
-  w.client(0).create_group(kG, "g", true);
-  w.settle();
-  w.client(0).join(kG);
-  w.client(1).join(kG);
-  w.settle();
-
-  UpdateRecord forged;
-  forged.kind = PayloadKind::kUpdate;
-  forged.object = kObj;
-  forged.data = to_bytes("forged;");
-  forged.sender = client_id(0);  // not the resending client
-  forged.request_id = 999;
-  UpdateRecord own = forged;
-  own.data = to_bytes("own;");
-  own.sender = client_id(1);
-  own.request_id = 998;
-  Message resend;
-  resend.type = MsgType::kResendReply;
-  resend.group = kG;
-  resend.updates = {forged, own};
-  w.server->on_message(client_id(1), resend);
-  w.settle();
-
-  EXPECT_EQ(w.server->stats().resends_applied, 1u);
-  EXPECT_EQ(to_string(*w.server->group(kG)->state().object(kObj)), "own;");
-  EXPECT_FALSE(w.server->group(kG)->was_seen(client_id(0), 999));
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].code, Errc::kNotFound);
+  EXPECT_EQ(w.server->stats().retransmits_served, 0u);
 }
 
 TEST(ServerClient, AutomaticReductionPolicy) {

@@ -98,7 +98,7 @@ CHECK_REPLICATED = ("corona-check",
 STAGE_PLANS = {
     "core": [
         ["core_components_test", "shared_state_test", "server_client_test",
-         "client_failure_test"],
+         "client_failure_test", "front_end_test"],
         [CHECK_SINGLE, CHECK_BATCH],
         ["property_test", "batch_property_test", "fault_injection_test",
          "client_api_test"],
@@ -109,7 +109,8 @@ STAGE_PLANS = {
         ["property_test", "batch_property_test"],
     ],
     "replica": [
-        ["replica_components_test", "replica_integration_test"],
+        ["replica_components_test", "replica_integration_test",
+         "front_end_test"],
         [CHECK_REPLICATED, CHECK_SINGLE],
         ["replica_chaos_test", "replica_edge_test", "peer_join_test",
          "replica_cold_restart_test"],
