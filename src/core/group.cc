@@ -20,10 +20,10 @@ std::vector<MemberInfo> Group::member_list() const {
   return out;
 }
 
-std::vector<NodeId> Group::notice_subscribers() const {
+std::vector<NodeId> Group::notice_subscribers(NodeId except) const {
   std::vector<NodeId> out;
   for (const auto& [node, m] : members_) {
-    if (m.wants_membership_notices) out.push_back(node);
+    if (m.wants_membership_notices && !(node == except)) out.push_back(node);
   }
   return out;
 }

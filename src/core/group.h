@@ -57,8 +57,8 @@ class Group {
   // measures its round-trip as the worst case).
   const std::map<NodeId, Member>& members() const { return members_; }
   std::vector<MemberInfo> member_list() const;
-  // Members that subscribed to membership-change notifications.
-  std::vector<NodeId> notice_subscribers() const;
+  // Members that subscribed to membership-change notifications, but `except`.
+  std::vector<NodeId> notice_subscribers(NodeId except = NodeId{}) const;
 
   // -- sequencing ------------------------------------------------------------
   // Sequences `rec` into the group's total order: stamps the next seq, marks

@@ -9,26 +9,30 @@
 
 namespace corona {
 
+struct CoronaServer::Direct final : GroupAuthority::Route {
+  Direct(CoronaServer& s, NodeId c) : server(s), client(c) {}
+  void answer(const Message& m) override { server.send(client, m); }
+  void to_member(const Group&, NodeId member, const Message& m) override {
+    server.send(member, m);
+  }
+  void to_group(const Group&, const Message& m,
+                const std::vector<NodeId>& members) override {
+    for (NodeId member : members) server.send(member, m);
+  }
+  CoronaServer& server;
+  NodeId client;
+};
+
 CoronaServer::CoronaServer(ServerConfig config, GroupStore* store,
                            SessionManager* session_manager)
     : config_(std::move(config)),
-      store_(store),
+      owned_store_(store == nullptr ? std::make_unique<GroupStore>() : nullptr),
+      store_(store != nullptr ? store : owned_store_.get()),
       session_(session_manager),
+      authority_(store_, config_.reduction_factory),
       qos_(config_.qos),
       outbox_(config_.batch_max_msgs, config_.batch_max_delay, kBatchTimer,
-               config_.debug_drop_batch_tail) {
-  if (store_ == nullptr) {
-    owned_store_ = std::make_unique<GroupStore>();
-    store_ = owned_store_.get();
-  }
-  if (session_ == nullptr) {
-    owned_session_ = std::make_unique<AllowAllSessionManager>();
-    session_ = owned_session_.get();
-  }
-  if (!config_.reduction_factory) {
-    config_.reduction_factory = [] { return make_no_reduction(); };
-  }
-}
+               config_.debug_drop_batch_tail) {}
 
 CoronaServer::~CoronaServer() = default;
 
@@ -42,11 +46,13 @@ void CoronaServer::on_start() {
 
 void CoronaServer::recover_from_store() {
   for (const RecoveredGroup& rg : store_->recover()) {
-    const GroupId gid = rg.meta.id;
-    Group& group = groups_.insert_or_assign(gid, Group(rg.meta)).first->second;
-    group.restore(rg.base_seq, rg.snapshot, rg.updates);
-    reduction_[gid] = config_.reduction_factory();
-    LOG_INFO("server", "recovered ", gid, " head=", group.state().head_seq(),
+    Group recovered(rg.meta);
+    recovered.restore(rg.base_seq, rg.snapshot, rg.updates);
+    // reach: waive blocking-in-loop-context -- every recovered group is
+    // already in the store, so install() creates none.
+    const Group& group = authority_.install(std::move(recovered));
+    LOG_INFO("server", "recovered ", rg.meta.id,
+             " head=", group.state().head_seq(),
              " objects=", group.state().object_count());
   }
 }
@@ -94,7 +100,10 @@ void CoronaServer::on_timer(std::uint64_t tag) {
     for (NodeId client : expired) {
       client_last_heard_.erase(client);
       ++stats_.clients_expired;
-      drop_member_everywhere(client);
+      Direct route(*this, client);
+      authority_.drop_lost(route, [client](NodeId member, const Member&) {
+        return member == client;
+      });
     }
     set_timer(config_.client_timeout / 2, kLivenessTimer);
     return;
@@ -141,6 +150,8 @@ void CoronaServer::on_timer(std::uint64_t tag) {
 // lint-dispatch: MsgType
 // dispatch-ignore: kInvalid -- sentinel; the decoder rejects it upstream
 // dispatch-ignore: kReply kDeliver kMembershipInfo -- emitted, never received
+// dispatch-ignore: kLockGrant kLogReduced kGroupDeleted kMembershipNotice --
+//   built by the group authority (core/authority.cc), never received
 // dispatch-ignore: kServerHello kFwdMulticast kSeqMulticast -- replica tier
 // dispatch-ignore: kGroupOp kGroupOpResult kHeartbeatAck -- replica tier
 // dispatch-ignore: kServerList kElectionClaim kElectionVote -- replica tier
@@ -148,17 +159,31 @@ void CoronaServer::on_timer(std::uint64_t tag) {
 // dispatch-ignore: kResendRequest -- sent to clients, never received
 // dispatch-ignore: kDigestRequest kDigestReply -- replica anti-entropy only
 void CoronaServer::process(NodeId from, const Message& m) {
+  if (Status s = authorize_request(session_, from, m); !s) {
+    send(from, make_denial(m, std::move(s)));
+    return;
+  }
+  Direct route(*this, from);
   switch (m.type) {
-    case MsgType::kCreateGroup: handle_create(from, m); break;
-    case MsgType::kDeleteGroup: handle_delete(from, m); break;
+    case MsgType::kCreateGroup:
+      if (authority_.on_create(route, m) &&
+          config_.flush == FlushPolicy::kSync) {
+        flush_now();
+      }
+      break;
+    case MsgType::kDeleteGroup: authority_.on_delete(route, m); break;
     case MsgType::kJoin: handle_join(from, m); break;
     case MsgType::kLeave: handle_leave(from, m); break;
-    case MsgType::kGetMembership: handle_get_membership(from, m); break;
+    case MsgType::kGetMembership:
+      authority_.on_membership_query(route, m);
+      break;
     case MsgType::kBcastState:
     case MsgType::kBcastUpdate: handle_bcast(from, m); break;
-    case MsgType::kLockRequest: handle_lock_request(from, m); break;
-    case MsgType::kLockRelease: handle_lock_release(from, m); break;
-    case MsgType::kReduceLog: handle_reduce_log(from, m); break;
+    case MsgType::kLockRequest: authority_.on_lock(route, from, m); break;
+    case MsgType::kLockRelease: authority_.on_unlock(route, from, m); break;
+    case MsgType::kReduceLog:
+      count_reduction(authority_.on_reduce(route, m));
+      break;
     case MsgType::kRetransmitReq: handle_retransmit(from, m); break;
     case MsgType::kResendReply: handle_resend_reply(from, m); break;
     case MsgType::kStateReply: handle_peer_state(from, m); break;
@@ -169,79 +194,20 @@ void CoronaServer::process(NodeId from, const Message& m) {
   }
 }
 
-Group* CoronaServer::find_group(GroupId g) {
-  auto it = groups_.find(g);
-  return it != groups_.end() ? &it->second : nullptr;
-}
-
-const Group* CoronaServer::group(GroupId g) const {
-  auto it = groups_.find(g);
-  return it != groups_.end() ? &it->second : nullptr;
-}
-
-Status CoronaServer::authorize(NodeId client, GroupId g, GroupAction action) {
-  return session_->authorize(client, g, action);
-}
-
 void CoronaServer::set_group_qos_class(GroupId g, int klass) {
   qos_.set_group_class(g, klass);
 }
 
 // ---------------------------------------------------------------------------
-// Group management
+// Joins
 // ---------------------------------------------------------------------------
-
-void CoronaServer::handle_create(NodeId from, const Message& m) {
-  if (Status s = authorize(from, m.group, GroupAction::kCreate); !s) {
-    send(from, make_reply(s, m.request_id));
-    return;
-  }
-  if (groups_.contains(m.group)) {
-    send(from, make_reply(Status::error(Errc::kAlreadyExists), m.request_id));
-    return;
-  }
-  GroupMeta meta{m.group, m.text, m.persistent};
-  Group group(meta);
-  group.state().load(0, m.state);
-  groups_.emplace(m.group, std::move(group));
-  reduction_[m.group] = config_.reduction_factory();
-  store_->create_group(meta, m.state);
-  if (config_.flush == FlushPolicy::kSync) flush_now();
-  send(from, make_reply(Status::ok(), m.request_id));
-}
-
-void CoronaServer::handle_delete(NodeId from, const Message& m) {
-  if (Status s = authorize(from, m.group, GroupAction::kDelete); !s) {
-    send(from, make_reply(s, m.request_id));
-    return;
-  }
-  Group* group = find_group(m.group);
-  if (group == nullptr) {
-    send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
-    return;
-  }
-  // "The shared state of a deleted group is lost."  Every member is told,
-  // the requester too, so no member keeps a replica of a deleted group.
-  Message note;
-  note.type = MsgType::kGroupDeleted;
-  note.group = m.group;
-  for (const auto& [member, info] : group->members()) send(member, note);
-  groups_.erase(m.group);
-  reduction_.erase(m.group);
-  store_->remove_group(m.group);
-  send(from, make_reply(Status::ok(), m.request_id));
-}
 
 void CoronaServer::handle_join(NodeId from, const Message& m) {
   const auto refuse = [&](Status s) {
     send(from, make_refusal(MsgType::kJoinReply, m.group, m.request_id,
                             std::move(s)));
   };
-  if (Status s = authorize(from, m.group, GroupAction::kJoin); !s) {
-    refuse(std::move(s));
-    return;
-  }
-  Group* group = find_group(m.group);
+  Group* group = authority_.lookup(m.group);
   if (group == nullptr) {
     refuse(Status::error(Errc::kNotFound));
     return;
@@ -274,7 +240,8 @@ void CoronaServer::finish_join(Group& group, NodeId joiner, RequestId rid,
   if (config_.client_timeout > 0) client_last_heard_[joiner] = now();
   send(joiner, make_join_reply(group.meta().id, rid, std::move(t),
                                group.member_list()));
-  send_membership_notices(group, joiner, role, /*joined=*/true);
+  Direct route(*this, joiner);
+  authority_.announce(route, group, joiner, role, /*joined=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,7 +289,7 @@ void CoronaServer::handle_peer_state(NodeId from, const Message& m) {
   PendingPeerJoin p = std::move(it->second);
   pending_peer_.erase(it);
   ++stats_.peer_transfers;
-  if (Group* group = find_group(p.group)) {
+  if (Group* group = authority_.lookup(p.group)) {
     group->add_member(p.joiner, p.role, p.notify);
     finish_join(*group, p.joiner, p.request_id, p.role,
                 TransferContent{m.seq, m.state, {}});
@@ -334,7 +301,7 @@ void CoronaServer::peer_transfer_timeout(std::uint64_t token) {
   if (it == pending_peer_.end()) return;
   ++stats_.peer_timeouts;
   PendingPeerJoin& p = it->second;
-  Group* group = find_group(p.group);
+  Group* group = authority_.lookup(p.group);
   if (group == nullptr) {
     pending_peer_.erase(it);
     return;
@@ -354,60 +321,17 @@ void CoronaServer::peer_transfer_timeout(std::uint64_t token) {
 }
 
 void CoronaServer::handle_leave(NodeId from, const Message& m) {
-  Group* group = find_group(m.group);
-  if (group == nullptr || !group->is_member(from)) {
-    send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
-    return;
-  }
-  // Leaving implicitly releases held locks; queued waiters get grants.
-  send_grants(m.group, group->remove_member(from));
+  Direct route(*this, from);
+  if (!authority_.on_leave(route, from, m)) return;
   send(from, make_reply(Status::ok(), m.request_id));
-  send_membership_notices(*group, from, MemberRole::kPrincipal,
-                          /*joined=*/false);
-  CORONA_CHECK_INVARIANTS(*group);
-
-  // Transient groups cease to exist at null membership; persistent groups
-  // and their shared state outlive their members (§3.1).
-  if (group->member_count() == 0 && !group->persistent()) {
-    groups_.erase(m.group);
-    reduction_.erase(m.group);
-    store_->remove_group(m.group);
-  }
 
   // Stop liveness tracking once the client belongs to no group.
-  if (config_.client_timeout > 0) {
-    bool member_somewhere = false;
-    for (const auto& [gid, g] : groups_) {
-      if (g.is_member(from)) {
-        member_somewhere = true;
-        break;
-      }
-    }
-    if (!member_somewhere) client_last_heard_.erase(from);
-  }
-}
-
-void CoronaServer::handle_get_membership(NodeId from, const Message& m) {
-  Group* group = find_group(m.group);
-  if (group == nullptr) {
-    send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
-    return;
-  }
-  send(from, make_membership_info(m.group, m.request_id, group->member_list()));
-}
-
-void CoronaServer::send_membership_notices(Group& group, NodeId subject,
-                                           MemberRole role, bool joined) {
-  const auto subscribers = group.notice_subscribers();
-  if (subscribers.empty()) return;
-  Message note;
-  note.type = MsgType::kMembershipNotice;
-  note.group = group.meta().id;
-  note.sender = subject;
-  note.role = role;
-  note.accept = joined;
-  for (NodeId member : subscribers) {
-    if (!(member == subject)) send(member, note);
+  const auto& groups = authority_.groups();
+  if (config_.client_timeout > 0 &&
+      std::none_of(groups.begin(), groups.end(), [from](const auto& g) {
+        return g.second.is_member(from);
+      })) {
+    client_last_heard_.erase(from);
   }
 }
 
@@ -416,11 +340,7 @@ void CoronaServer::send_membership_notices(Group& group, NodeId subject,
 // ---------------------------------------------------------------------------
 
 void CoronaServer::handle_bcast(NodeId from, const Message& m) {
-  if (Status s = authorize(from, m.group, GroupAction::kPublish); !s) {
-    send(from, make_reply(s, m.request_id));
-    return;
-  }
-  Group* group = find_group(m.group);
+  const Group* group = authority_.lookup(m.group);
   if (group == nullptr) {
     send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
     return;
@@ -455,12 +375,12 @@ void CoronaServer::drain_batch(std::vector<PendingDelivery> batch) {
   // A group deleted since arrival drops its queued multicasts, as a delete
   // racing an in-flight bcast always has.
   std::erase_if(batch, [this](const PendingDelivery& p) {
-    return !groups_.contains(p.group);
+    return authority_.lookup(p.group) == nullptr;
   });
   if (batch.empty()) return;
   std::set<GroupId> touched;
   for (PendingDelivery& p : batch) {
-    groups_.at(p.group).sequence(p.rec, store_);
+    authority_.lookup(p.group)->sequence(p.rec, store_);
     ++stats_.messages_sequenced;
     rt().charge_cpu(id(), apply_cpu_cost(p.rec));
     touched.insert(p.group);
@@ -486,15 +406,15 @@ void CoronaServer::drain_batch(std::vector<PendingDelivery> batch) {
     deliver(batch);
   }
   for (GroupId gid : touched) {
-    Group& g = groups_.at(gid);
-    maybe_reduce(g);
+    Group& g = *authority_.lookup(gid);
+    count_reduction(authority_.reduce_if_due(g));
     CORONA_CHECK_INVARIANTS(g);
   }
 }
 
 void CoronaServer::deliver(const std::vector<PendingDelivery>& items) {
   for (const PendingDelivery& p : items) {
-    const Group* group = find_group(p.group);
+    const Group* group = authority_.lookup(p.group);
     if (group == nullptr) continue;  // deleted while its commit was in flight
     std::vector<NodeId> recipients;
     recipients.reserve(group->member_count());
@@ -517,99 +437,8 @@ void CoronaServer::deliver(const std::vector<PendingDelivery>& items) {
   stats_.batch_frames_sent += outbox_.ship(*this);
 }
 
-// ---------------------------------------------------------------------------
-// Locks
-// ---------------------------------------------------------------------------
-
-void CoronaServer::handle_lock_request(NodeId from, const Message& m) {
-  Group* group = find_group(m.group);
-  if (group == nullptr || !group->is_member(from)) {
-    send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
-    return;
-  }
-  const auto outcome = group->locks().acquire(m.object, from);
-  if (outcome == LockTable::AcquireOutcome::kGranted) {
-    Message grant;
-    grant.type = MsgType::kLockGrant;
-    grant.group = m.group;
-    grant.object = m.object;
-    grant.request_id = m.request_id;
-    send(from, grant);
-  } else {
-    // Queued (or duplicate): acknowledge receipt; the grant follows when the
-    // holder releases.
-    send(from, make_reply(Status::error(Errc::kLockHeld, "queued"),
-                          m.request_id));
-  }
-}
-
-void CoronaServer::handle_lock_release(NodeId from, const Message& m) {
-  Group* group = find_group(m.group);
-  if (group == nullptr) {
-    send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
-    return;
-  }
-  auto result = group->locks().release(m.object, from);
-  if (!result) {
-    send(from, make_reply(result.status(), m.request_id));
-    return;
-  }
-  send(from, make_reply(Status::ok(), m.request_id));
-  if (auto next = result.value()) send_grants(m.group, {{m.object, *next}});
-}
-
-void CoronaServer::send_grants(
-    GroupId g, const std::vector<std::pair<ObjectId, NodeId>>& grants) {
-  for (const auto& [obj, grantee] : grants) {
-    Message grant;
-    grant.type = MsgType::kLockGrant;
-    grant.group = g;
-    grant.object = obj;
-    send(grantee, grant);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Log reduction
-// ---------------------------------------------------------------------------
-
-void CoronaServer::handle_reduce_log(NodeId from, const Message& m) {
-  if (Status s = authorize(from, m.group, GroupAction::kReduceLog); !s) {
-    send(from, make_reply(s, m.request_id));
-    return;
-  }
-  Group* group = find_group(m.group);
-  if (group == nullptr) {
-    send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
-    return;
-  }
-  const SeqNo upto = m.seq == 0 ? group->state().head_seq() : m.seq;
-  perform_reduction(*group, upto);
-  Message done;
-  done.type = MsgType::kLogReduced;
-  done.group = m.group;
-  done.seq = group->state().base_seq();
-  done.request_id = m.request_id;
-  send(from, done);
-}
-
-void CoronaServer::maybe_reduce(Group& group) {
-  auto it = reduction_.find(group.meta().id);
-  if (it == reduction_.end()) return;
-  if (const SeqNo upto = it->second->should_reduce(group.state()); upto > 0) {
-    perform_reduction(group, upto);
-  }
-}
-
-void CoronaServer::perform_reduction(Group& group, SeqNo upto) {
-  // "The history of state updates ... may be trimmed up to a point and
-  // replaced with the consistent group state existing at that point" (§3.2).
-  // SharedState folds the dropped prefix into its base snapshot, which then
-  // becomes the durable checkpoint.
-  const std::size_t dropped = group.state().reduce_to(upto);
+void CoronaServer::count_reduction(std::size_t dropped) {
   if (dropped == 0) return;
-  store_->install_checkpoint(group.meta().id, group.state().base_seq(),
-                             group.state().snapshot_at_base());
   ++stats_.reductions;
   stats_.records_dropped_by_reduction += dropped;
 }
@@ -619,7 +448,7 @@ void CoronaServer::perform_reduction(Group& group, SeqNo upto) {
 // ---------------------------------------------------------------------------
 
 void CoronaServer::handle_retransmit(NodeId from, const Message& m) {
-  Group* group = find_group(m.group);
+  const Group* group = authority_.lookup(m.group);
   if (group == nullptr) {
     send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
     return;
@@ -638,7 +467,7 @@ void CoronaServer::handle_resend_reply(NodeId from, const Message& m) {
   // (sender, request-id) dedup set recovered from the durable log keeps
   // already-stable updates from being applied twice.  A client resends only
   // its own multicasts, so a record naming another sender is dropped.
-  const Group* group = find_group(m.group);
+  const Group* group = authority_.lookup(m.group);
   if (group == nullptr || !group->is_member(from)) return;
   for (UpdateRecord& rec : own_records(m.updates, from)) {
     if (group->was_seen(rec.sender, rec.request_id)) continue;
@@ -663,23 +492,6 @@ void CoronaServer::flush_now() {
   (void)store_->flush();
   ++stats_.flushes;
   if (bytes > 0) rt().disk_write(id(), bytes);
-}
-
-void CoronaServer::drop_member_everywhere(NodeId who) {
-  std::vector<GroupId> to_erase;
-  for (auto& [gid, group] : groups_) {
-    if (!group.is_member(who)) continue;
-    send_grants(gid, group.remove_member(who));
-    send_membership_notices(group, who, MemberRole::kPrincipal,
-                            /*joined=*/false);
-    CORONA_CHECK_INVARIANTS(group);
-    if (group.member_count() == 0 && !group.persistent()) to_erase.push_back(gid);
-  }
-  for (GroupId gid : to_erase) {
-    groups_.erase(gid);
-    reduction_.erase(gid);
-    store_->remove_group(gid);
-  }
 }
 
 }  // namespace corona

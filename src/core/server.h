@@ -15,8 +15,8 @@
 // stateless curve of Figure 3 is StatelessServer (core/stateless_server.h).
 //
 // Deployment: a CoronaServer serves its clients directly (the single-server
-// configuration).  Its per-group engine, Group (core/group.h), is the same
-// one the replicated service's coordinator runs (src/replica/).
+// configuration).  Its GroupAuthority (core/authority.h) and per-group engine
+// (core/group.h) are the ones the replicated coordinator runs (src/replica/).
 #pragma once
 
 #include <functional>
@@ -24,6 +24,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/authority.h"
 #include "core/group.h"
 #include "core/log_reduction.h"
 #include "core/outbox.h"
@@ -160,23 +161,20 @@ class CoronaServer : public Node {
 
   const ServerStats& stats() const { return stats_; }
   GroupStore& store() { return *store_; }
-  bool has_group(GroupId g) const { return groups_.contains(g); }
-  const Group* group(GroupId g) const;
-  std::size_t group_count() const { return groups_.size(); }
+  bool has_group(GroupId g) const { return authority_.lookup(g) != nullptr; }
+  const Group* group(GroupId g) const { return authority_.lookup(g); }
+  std::size_t group_count() const { return authority_.groups().size(); }
   // Sets the QoS class of a group (0 = highest of 3).
   void set_group_qos_class(GroupId g, int klass);
 
  private:
+  // The authority's route: answers go straight to the client.
+  struct Direct;
+
   // -- request handlers ------------------------------------------------------
-  void handle_create(NodeId from, const Message& m);
-  void handle_delete(NodeId from, const Message& m);
   void handle_join(NodeId from, const Message& m);
   void handle_leave(NodeId from, const Message& m);
-  void handle_get_membership(NodeId from, const Message& m);
   CORONA_HOT_PATH void handle_bcast(NodeId from, const Message& m);
-  void handle_lock_request(NodeId from, const Message& m);
-  void handle_lock_release(NodeId from, const Message& m);
-  void handle_reduce_log(NodeId from, const Message& m);
   void handle_retransmit(NodeId from, const Message& m);
   void handle_resend_reply(NodeId from, const Message& m);
   // Peer-transfer baseline (JoinTransferMode::kPeer).
@@ -200,8 +198,6 @@ class CoronaServer : public Node {
     NodeId sender;
   };
 
-  Group* find_group(GroupId g);
-  Status authorize(NodeId client, GroupId g, GroupAction action);
   // Sequences `batch` in arrival order, covers it with one group commit
   // (kSync), and fans it out; delivery is immediate (kNone/kAsync) or
   // deferred behind the disk (kSync).  The per-message path is a batch of
@@ -209,26 +205,17 @@ class CoronaServer : public Node {
   CORONA_HOT_PATH void drain_batch(std::vector<PendingDelivery> batch);
   // Fans out already-sequenced records through the outbox.
   CORONA_HOT_PATH void deliver(const std::vector<PendingDelivery>& items);
-  void send_membership_notices(Group& group, NodeId subject, MemberRole role,
-                               bool joined);
-  // Sends kLockGrant for each (object, new holder) pair.
-  void send_grants(GroupId g,
-                   const std::vector<std::pair<ObjectId, NodeId>>& grants);
-  void perform_reduction(Group& group, SeqNo upto);
-  void maybe_reduce(Group& group);
-  void drop_member_everywhere(NodeId who);  // leave/disconnect cleanup
+  void count_reduction(std::size_t dropped);
   void schedule_flush();
   void flush_now();
   void process(NodeId from, const Message& m);  // post-QoS dispatch
   void recover_from_store();
 
   ServerConfig config_;
-  GroupStore* store_;                      // may point at owned_store_
-  std::unique_ptr<GroupStore> owned_store_;
-  SessionManager* session_;                // may point at owned_session_
-  std::unique_ptr<SessionManager> owned_session_;
-  std::map<GroupId, Group> groups_;
-  std::map<GroupId, std::unique_ptr<ReductionPolicy>> reduction_;
+  std::unique_ptr<GroupStore> owned_store_;  // when no store is passed in
+  GroupStore* store_;
+  SessionManager* session_;  // nullptr allows all
+  GroupAuthority authority_;
   std::map<NodeId, TimePoint> client_last_heard_;
   QosScheduler qos_;
   bool qos_drain_scheduled_ = false;

@@ -1,5 +1,9 @@
 #include "core/session_manager.h"
 
+#include <utility>
+
+#include "core/state_transfer.h"
+
 namespace corona {
 
 const char* group_action_name(GroupAction a) {
@@ -47,6 +51,30 @@ Status AclSessionManager::authorize(NodeId client, GroupId group,
   return Status::error(Errc::kPermissionDenied,
                        std::string("session manager denied ") +
                            group_action_name(action));
+}
+
+Status authorize_request(SessionManager* session, NodeId client,
+                         const Message& m) {
+  GroupAction action = GroupAction::kPublish;
+  switch (m.type) {
+    case MsgType::kCreateGroup: action = GroupAction::kCreate; break;
+    case MsgType::kDeleteGroup: action = GroupAction::kDelete; break;
+    case MsgType::kJoin: action = GroupAction::kJoin; break;
+    case MsgType::kBcastState:
+    case MsgType::kBcastUpdate: action = GroupAction::kPublish; break;
+    case MsgType::kReduceLog: action = GroupAction::kReduceLog; break;
+    default: return Status::ok();
+  }
+  if (session == nullptr) return Status::ok();
+  return session->authorize(client, m.group, action);
+}
+
+Message make_denial(const Message& request, Status s) {
+  if (request.type == MsgType::kJoin) {
+    return make_refusal(MsgType::kJoinReply, request.group,
+                        request.request_id, std::move(s));
+  }
+  return make_reply(std::move(s), request.request_id);
 }
 
 }  // namespace corona

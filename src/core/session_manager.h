@@ -2,15 +2,17 @@
 // conjunction with an external workspace session manager that determines
 // which client is allowed to execute these actions").
 //
-// The server consults a SessionManager before every group-management action.
-// Two implementations ship: AllowAllSessionManager (the default) and
-// AclSessionManager, a deny-by-default access-control list keyed by
-// (client, group, action) with wildcards.
+// Every server checks each client request where the client is connected
+// (authorize_request below).  Two implementations ship:
+// AllowAllSessionManager and AclSessionManager, a deny-by-default
+// access-control list keyed by (client, group, action) with wildcards.
 #pragma once
 
 #include <map>
 #include <set>
 
+#include "serial/message.h"
+#include "util/context.h"
 #include "util/ids.h"
 #include "util/result.h"
 
@@ -60,5 +62,15 @@ class AclSessionManager final : public SessionManager {
   bool match(std::uint64_t client, std::uint64_t group,
              GroupAction action) const;
 };
+
+// The one admission check of a client request: create, delete, join,
+// multicast and reduce-log map to their GroupAction and are put to
+// `session` (nullptr allows all); any other request passes.  It runs once
+// per multicast.
+CORONA_HOT_PATH Status authorize_request(SessionManager* session,
+                                         NodeId client, const Message& m);
+// What a refused request gets back: a kJoinReply refusal for a join, a
+// kReply for anything else.
+Message make_denial(const Message& request, Status s);
 
 }  // namespace corona

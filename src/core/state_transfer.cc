@@ -128,7 +128,7 @@ Message make_record_range(const Message& req, const SharedState& state) {
   m.group = req.group;
   m.request_id = req.request_id;
   m.seq = state.base_seq();
-  m.updates = state.since(req.seq - 1);
+  m.updates = state.since(req.seq > 0 ? req.seq - 1 : 0);  // 0: every record
   if (req.seq2 != 0) {
     std::erase_if(m.updates,
                   [&req](const UpdateRecord& u) { return u.seq > req.seq2; });

@@ -58,10 +58,11 @@ GroupMeta install_full_copy(const Message& copy, SharedState& state);
 Group restore_full_copy(const Message& copy);
 
 // Answers a gap fill (kRetransmitReq) for the records [req.seq, req.seq2]
-// (seq2 0: up to the head).  When log reduction folded the start of the
-// range into the base snapshot (req.seq <= base_seq, base_seq > 0), a member
-// gets the member resync instead, and a peer server asking the coordinator's
-// `group` gets the full copy, because its copy must keep a history.
+// (seq 0: from the first record held; seq2 0: up to the head).  When log
+// reduction folded the start of the range into the base snapshot
+// (req.seq <= base_seq, base_seq > 0), a member gets the member resync
+// instead, and a peer server asking the coordinator's `group` gets the full
+// copy, because its copy must keep a history.
 Message make_gap_fill(const Message& req, const SharedState& state);
 Message make_gap_fill(const Message& req, const Group& group);
 

@@ -8,9 +8,37 @@
 
 namespace corona {
 
-Group* ReplicaServer::coord_find(GroupId g) {
-  auto it = cgroups_.find(g);
-  return it != cgroups_.end() ? &it->second : nullptr;
+// The coordinator's route for the group authority: a client's answer goes
+// back through the client's leaf, which forwards it unchanged; a change
+// every copy must see goes once to each holder, and each leaf applies it to
+// its own members.
+struct ReplicaServer::Relay final : GroupAuthority::Route {
+  Relay(ReplicaServer& s, NodeId l, NodeId c)
+      : server(s), leaf(l), client(c) {}
+  void answer(const Message& m) override { server.coord_relay(leaf, client, m); }
+  void to_member(const Group& group, NodeId member, const Message& m) override {
+    auto it = group.members().find(member);
+    if (it != group.members().end()) {
+      server.coord_relay(it->second.leaf, member, m);
+    }
+  }
+  void to_group(const Group& group, const Message& m,
+                const std::vector<NodeId>&) override {
+    for (NodeId holder : server.repl_.holders(group.meta().id)) {
+      server.send(holder, m);
+    }
+  }
+  ReplicaServer& server;
+  NodeId leaf;
+  NodeId client;
+};
+
+void ReplicaServer::coord_relay(NodeId leaf, NodeId client, const Message& m) {
+  Message r;
+  r.type = MsgType::kGroupOpResult;
+  r.sender = client;
+  r.payload = m.encode();
+  send(leaf, r);
 }
 
 void ReplicaServer::become_coordinator(std::uint64_t term) {
@@ -38,14 +66,14 @@ void ReplicaServer::become_coordinator(std::uint64_t term) {
   // re-register its local members (self-hello keeps the flow uniform with
   // the other leaves').
   for (const auto& [g, lg] : local_) {
-    if (cgroups_.contains(g)) continue;
+    if (authority_.lookup(g) != nullptr) continue;
     // Restoring from the retained history also seeds the resend-dedup set,
     // so client recovery resends of already-sequenced updates are not
     // applied twice.
-    Group& cg = cgroups_.emplace(g, Group(lg.meta)).first->second;
+    Group cg(lg.meta);
     cg.restore(lg.state.base_seq(), lg.state.snapshot_at_base(),
                lg.state.history());
-    coord_persist_create(cg);
+    authority_.install(std::move(cg));
     repl_.add_backup(g, id());
     reregister_members(g, lg);
   }
@@ -55,11 +83,12 @@ void ReplicaServer::become_coordinator(std::uint64_t term) {
   // service restarts).  Transient groups died with their members and are
   // not resurrected.
   for (const RecoveredGroup& rg : store_->recover()) {
-    if (cgroups_.contains(rg.meta.id) || !rg.meta.persistent) continue;
-    Group& cg = cgroups_.emplace(rg.meta.id, Group(rg.meta)).first->second;
+    if (authority_.lookup(rg.meta.id) || !rg.meta.persistent) continue;
+    Group cg(rg.meta);
     cg.restore(rg.base_seq, rg.snapshot, rg.updates);
+    const Group& recovered = authority_.install(std::move(cg));
     LOG_INFO("replica", "coordinator recovered ", rg.meta.id,
-             " head=", cg.state().head_seq());
+             " head=", recovered.state().head_seq());
   }
 
   collecting_hellos_ = true;
@@ -98,24 +127,13 @@ void ReplicaServer::coord_drop_server(NodeId leaf) {
     send(s, make_server_list(registry_.epoch(), registry_.servers()));
   }
   // Members connected through the dead leaf are gone (fail-stop clients of
-  // a fail-stop server); drop them and notify survivors.
-  for (auto& [g, cg] : cgroups_) {
-    std::vector<NodeId> lost;
-    for (const auto& [client, info] : cg.members()) {
-      if (info.leaf == leaf) lost.push_back(client);
-    }
-    for (NodeId client : lost) {
-      for (auto& [obj, grantee] : cg.remove_member(client)) {
-        coord_route_lock_grant(g, obj, grantee);
-      }
-      coord_send_notice(cg, client, MemberRole::kPrincipal, /*joined=*/false);
-    }
-    CORONA_CHECK_INVARIANTS(cg);
-  }
+  // a fail-stop server): they leave every group, as if each had left.
+  Relay route(*this, leaf, NodeId{});
+  authority_.drop_lost(route, [leaf](NodeId, const Member& info) {
+    return info.leaf == leaf;
+  });
   // Restore the hot-standby invariant for groups that lost a copy.
-  for (GroupId g : repl_.drop_server(leaf)) {
-    coord_maybe_assign_backup(g);
-  }
+  for (GroupId g : repl_.drop_server(leaf)) coord_maybe_assign_backup(g);
 }
 
 void ReplicaServer::coord_handle_hello(NodeId from, const Message& m) {
@@ -140,18 +158,20 @@ void ReplicaServer::coord_handle_hello(NodeId from, const Message& m) {
 
 void ReplicaServer::coord_handle_fwd_multicast(NodeId from, const Message& m) {
   if (!is_coordinator()) return;  // stale routing during an election
-  Group* cg = coord_find(m.group);
+  Group* cg = authority_.lookup(m.group);
   if (cg == nullptr) {
     if (collecting_hellos_ || pending_fwd_.contains(m.group)) {
       // Takeover in progress: hold until the group's state is pulled.
       pending_fwd_[m.group].push_back(m);
       return;
     }
-    coord_send_result(from, m, Status::error(Errc::kNotFound));
+    coord_relay(from, m.sender,
+                make_reply(Status::error(Errc::kNotFound), m.request_id));
     return;
   }
   if (!cg->is_member(m.sender)) {
-    coord_send_result(from, m, Status::error(Errc::kNotMember));
+    coord_relay(from, m.sender,
+                make_reply(Status::error(Errc::kNotMember), m.request_id));
     return;
   }
   UpdateRecord rec;
@@ -192,7 +212,7 @@ void ReplicaServer::coord_sequence(Group& cg, UpdateRecord rec,
 }
 
 void ReplicaServer::coord_handle_resend(const Message& m) {
-  Group* cg = coord_find(m.group);
+  Group* cg = authority_.lookup(m.group);
   if (cg == nullptr) {
     if (collecting_hellos_ || pending_fwd_.contains(m.group)) {
       pending_fwd_[m.group].push_back(m);
@@ -212,26 +232,14 @@ void ReplicaServer::coord_handle_resend(const Message& m) {
 // Group operations
 // ---------------------------------------------------------------------------
 
-void ReplicaServer::coord_send_result(NodeId leaf, const Message& original,
-                                      Status s) {
-  Message r;
-  r.type = MsgType::kGroupOpResult;
-  r.fwd_type = original.fwd_type != MsgType::kInvalid ? original.fwd_type
-                                                      : original.type;
-  r.group = original.group;
-  r.sender = original.sender;
-  r.request_id = original.request_id;
-  r.status = s.code;
-  r.text = std::move(s.detail);
-  send(leaf, r);
-}
-
 // Coordinator op dispatch (fwd_type of forwarded client operations): every
 // MsgType must be handled below or waived.
 // lint-dispatch: MsgType
-// dispatch-ignore: kGetMembership kBcastState kBcastUpdate -- leaf-served;
-//   membership reads and multicasts never arrive as forwarded group ops
+// dispatch-ignore: kInvalid -- sentinel; the decoder rejects it upstream
+// dispatch-ignore: kBcastState kBcastUpdate -- forwarded as kFwdMulticast
 // dispatch-ignore: kReply kJoinReply kMembershipInfo kDeliver -- emitted only
+// dispatch-ignore: kLockGrant kLogReduced kGroupDeleted kMembershipNotice --
+//   built by the group authority (core/authority.cc)
 // dispatch-ignore: kServerHello kHeartbeat kHeartbeatAck -- membership layer
 // dispatch-ignore: kServerList kElectionClaim kElectionVote -- election layer
 // dispatch-ignore: kCoordAnnounce kResendRequest -- membership layer
@@ -240,133 +248,83 @@ void ReplicaServer::coord_handle_group_op(NodeId from, const Message& m) {
   // During a takeover, operations on groups whose state is still being
   // pulled (member re-registrations above all) are held back with the
   // forwarded multicasts and replayed once the pull lands.
-  if (m.fwd_type != MsgType::kCreateGroup && !cgroups_.contains(m.group) &&
+  if (m.fwd_type != MsgType::kCreateGroup && !authority_.lookup(m.group) &&
       (collecting_hellos_ || pending_fwd_.contains(m.group))) {
     pending_fwd_[m.group].push_back(m);
     return;
   }
+  Relay route(*this, from, m.sender);
   switch (m.fwd_type) {
-    case MsgType::kCreateGroup: coord_op_create(from, m); break;
-    case MsgType::kDeleteGroup: coord_op_delete(from, m); break;
-    case MsgType::kJoin: coord_op_join(from, m); break;
-    case MsgType::kLeave: coord_op_leave(from, m); break;
-    case MsgType::kLockRequest: coord_op_lock(from, m); break;
-    case MsgType::kLockRelease: coord_op_unlock(from, m); break;
-    case MsgType::kReduceLog: coord_op_reduce(from, m); break;
+    case MsgType::kCreateGroup: authority_.on_create(route, m); break;
+    case MsgType::kDeleteGroup:
+      authority_.on_delete(route, m);
+      repl_.drop_group(m.group);  // the group is gone either way
+      break;
+    case MsgType::kJoin: coord_op_join(route, from, m); break;
+    case MsgType::kLeave:
+      if (authority_.on_leave(route, m.sender, m)) {
+        coord_release_copy(m.group, from);
+      }
+      break;
+    case MsgType::kGetMembership:
+      authority_.on_membership_query(route, m);
+      break;
+    case MsgType::kLockRequest: authority_.on_lock(route, m.sender, m); break;
+    case MsgType::kLockRelease: authority_.on_unlock(route, m.sender, m); break;
+    case MsgType::kReduceLog: authority_.on_reduce(route, m); break;
     default:
-      coord_send_result(from, m, Status::error(Errc::kInvalidArgument));
+      route.answer(
+          make_reply(Status::error(Errc::kInvalidArgument), m.request_id));
       break;
   }
 }
 
-void ReplicaServer::coord_persist_create(const Group& cg) {
-  if (!store_->has_group(cg.meta().id)) {
-    store_->create_group(cg.meta(), cg.state().snapshot_at_base());
-  }
-}
-
-void ReplicaServer::coord_op_create(NodeId leaf, const Message& m) {
-  if (cgroups_.contains(m.group)) {
-    coord_send_result(leaf, m, Status::error(Errc::kAlreadyExists));
-    return;
-  }
-  Group cg(GroupMeta{m.group, m.text, m.persistent});
-  cg.state().load(0, m.state);
-  coord_persist_create(cg);
-  cgroups_.emplace(m.group, std::move(cg));
-  coord_send_result(leaf, m, Status::ok());
-}
-
-void ReplicaServer::coord_op_delete(NodeId leaf, const Message& m) {
-  if (coord_find(m.group) == nullptr) {
-    coord_send_result(leaf, m, Status::error(Errc::kNotFound));
-    return;
-  }
-  coord_erase_group(m.group);
-  coord_send_result(leaf, m, Status::ok());
-}
-
-void ReplicaServer::coord_erase_group(GroupId g) {
-  // Every holder drops its copy and tells each of its members, the deleter
-  // included.
-  Message note;
-  note.type = MsgType::kGroupDeleted;
-  note.group = g;
-  for (NodeId holder : repl_.holders(g)) send(holder, note);
-  cgroups_.erase(g);
-  repl_.drop_group(g);
-  store_->remove_group(g);
-}
-
-void ReplicaServer::coord_op_join(NodeId leaf, const Message& m) {
-  Group* cg = coord_find(m.group);
+void ReplicaServer::coord_op_join(Relay& route, NodeId leaf,
+                                  const Message& m) {
+  Group* cg = authority_.lookup(m.group);
   if (cg == nullptr) {
-    coord_send_result(leaf, m, Status::error(Errc::kNotFound));
+    route.answer(make_reply(Status::error(Errc::kNotFound), m.request_id));
     return;
   }
-  const bool silent = m.sender_inclusive;  // takeover re-registration
   cg->set_member(m.sender, Member{m.role, m.notify_membership, leaf});
   repl_.add_supporting_server(m.group, leaf);
   coord_maybe_assign_backup(m.group);
-  if (!silent) {
-    coord_send_notice(*cg, m.sender, m.role, /*joined=*/true);
-    coord_send_result(leaf, m, Status::ok());
+  // sender_inclusive marks a silent re-registration after an election.
+  if (!m.sender_inclusive) {
+    authority_.announce(route, *cg, m.sender, m.role, /*joined=*/true);
   }
 }
 
-void ReplicaServer::coord_op_leave(NodeId leaf, const Message& m) {
-  Group* cg = coord_find(m.group);
-  if (cg == nullptr) {
-    coord_send_result(leaf, m, Status::error(Errc::kNotFound));
+void ReplicaServer::coord_release_copy(GroupId g, NodeId leaf) {
+  const Group* cg = authority_.lookup(g);
+  if (cg == nullptr) {  // the group ended with its last member
+    coord_maybe_assign_backup(g);
     return;
   }
-  for (auto& [obj, grantee] : cg->remove_member(m.sender)) {
-    coord_route_lock_grant(m.group, obj, grantee);
-  }
-  coord_send_notice(*cg, m.sender, m.role, /*joined=*/false);
-  CORONA_CHECK_INVARIANTS(*cg);
-
   // Does the leaf still support members of this group?
-  bool still_supports = false;
   for (const auto& [client, info] : cg->members()) {
-    if (info.leaf == leaf) {
-      still_supports = true;
-      break;
-    }
+    if (info.leaf == leaf) return;
   }
-  if (!still_supports) {
-    repl_.remove_supporting_server(m.group, leaf);
-    if (repl_.copy_count(m.group) >= cfg_.min_copies) {
-      // Enough copies without this leaf: release it.
-      Message rel;
-      rel.type = MsgType::kBackupAssign;
-      rel.group = m.group;
-      rel.accept = false;
-      send(leaf, rel);
-    } else {
-      // Keep it as the hot standby.
-      repl_.add_backup(m.group, leaf);
-      coord_maybe_assign_backup(m.group);
-    }
+  repl_.remove_supporting_server(g, leaf);
+  if (repl_.copy_count(g) >= cfg_.min_copies) {
+    // Enough copies without this leaf: release it.
+    Message rel;
+    rel.type = MsgType::kBackupAssign;
+    rel.group = g;
+    rel.accept = false;
+    send(leaf, rel);
+  } else {
+    // Keep it as the hot standby.
+    repl_.add_backup(g, leaf);
+    coord_maybe_assign_backup(g);
   }
-
-  // Persistent groups outlive null membership; transient ones die (§3.1).
-  if (cg->member_count() == 0 && !cg->persistent()) coord_erase_group(m.group);
-}
-
-void ReplicaServer::coord_send_notice(const Group& cg, NodeId subject,
-                                      MemberRole role, bool joined) {
-  Message note;
-  note.type = MsgType::kMembershipNotice;
-  note.group = cg.meta().id;
-  note.sender = subject;
-  note.role = role;
-  note.accept = joined;
-  for (NodeId holder : repl_.holders(cg.meta().id)) send(holder, note);
 }
 
 void ReplicaServer::coord_maybe_assign_backup(GroupId g) {
-  if (!cgroups_.contains(g)) return;
+  if (authority_.lookup(g) == nullptr) {
+    repl_.drop_group(g);  // the group has ended
+    return;
+  }
   // Candidates in startup order, excluding the coordinator itself (its copy
   // is implicit).
   std::vector<NodeId> candidates;
@@ -394,98 +352,11 @@ void ReplicaServer::coord_maybe_assign_backup(GroupId g) {
 }
 
 // ---------------------------------------------------------------------------
-// Locks
-// ---------------------------------------------------------------------------
-
-void ReplicaServer::coord_route_lock_grant(GroupId g, ObjectId obj,
-                                           NodeId client) {
-  const Group* cg = coord_find(g);
-  if (cg == nullptr) return;
-  auto it = cg->members().find(client);
-  if (it == cg->members().end()) return;
-  Message r;
-  r.type = MsgType::kGroupOpResult;
-  r.fwd_type = MsgType::kLockGrant;
-  r.group = g;
-  r.object = obj;
-  r.sender = client;
-  send(it->second.leaf, r);
-}
-
-void ReplicaServer::coord_op_lock(NodeId leaf, const Message& m) {
-  Group* cg = coord_find(m.group);
-  if (cg == nullptr || !cg->is_member(m.sender)) {
-    coord_send_result(leaf, m, Status::error(Errc::kNotMember));
-    return;
-  }
-  const auto outcome = cg->locks().acquire(m.object, m.sender);
-  if (outcome == LockTable::AcquireOutcome::kGranted) {
-    Message r;
-    r.type = MsgType::kGroupOpResult;
-    r.fwd_type = MsgType::kLockGrant;
-    r.group = m.group;
-    r.object = m.object;
-    r.sender = m.sender;
-    r.request_id = m.request_id;
-    send(leaf, r);
-  } else {
-    coord_send_result(leaf, m, Status::error(Errc::kLockHeld, "queued"));
-  }
-}
-
-void ReplicaServer::coord_op_unlock(NodeId leaf, const Message& m) {
-  Group* cg = coord_find(m.group);
-  if (cg == nullptr) {
-    coord_send_result(leaf, m, Status::error(Errc::kNotFound));
-    return;
-  }
-  auto result = cg->locks().release(m.object, m.sender);
-  if (!result) {
-    coord_send_result(leaf, m, result.status());
-    return;
-  }
-  coord_send_result(leaf, m, Status::ok());
-  if (auto next = result.value()) {
-    coord_route_lock_grant(m.group, m.object, *next);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Log reduction
-// ---------------------------------------------------------------------------
-
-void ReplicaServer::coord_op_reduce(NodeId leaf, const Message& m) {
-  Group* cg = coord_find(m.group);
-  if (cg == nullptr) {
-    coord_send_result(leaf, m, Status::error(Errc::kNotFound));
-    return;
-  }
-  SharedState& st = cg->state();
-  const SeqNo upto = m.seq == 0 ? st.head_seq() : m.seq;
-  st.reduce_to(upto);
-  store_->install_checkpoint(m.group, st.base_seq(), st.snapshot_at_base());
-  Message done;
-  done.type = MsgType::kLogReduced;
-  done.group = m.group;
-  done.seq = st.base_seq();
-  for (NodeId holder : repl_.holders(m.group)) send(holder, done);
-
-  Message r;
-  r.type = MsgType::kGroupOpResult;
-  r.fwd_type = MsgType::kReduceLog;
-  r.group = m.group;
-  r.seq = st.base_seq();
-  r.sender = m.sender;
-  r.request_id = m.request_id;
-  send(leaf, r);
-}
-
-// ---------------------------------------------------------------------------
 // State queries (leaf installs, gap fills)
 // ---------------------------------------------------------------------------
 
 void ReplicaServer::coord_handle_state_query(NodeId from, const Message& m) {
-  const Group* cg = coord_find(m.group);
+  const Group* cg = authority_.lookup(m.group);
   if (cg == nullptr) {
     send(from, make_refusal(MsgType::kStateReply, m.group, m.request_id,
                             Status::error(Errc::kNotFound)));
@@ -510,7 +381,7 @@ void ReplicaServer::coord_handle_state_query(NodeId from, const Message& m) {
 void ReplicaServer::coord_begin_takeover() {
   collecting_hellos_ = false;
   std::map<GroupId, SeqNo> local_heads;
-  for (const auto& [g, cg] : cgroups_) {
+  for (const auto& [g, cg] : authority_.groups()) {
     local_heads.emplace(g, cg.state().head_seq());
   }
   const auto plan = plan_takeover(hello_reports_, local_heads);
@@ -518,11 +389,12 @@ void ReplicaServer::coord_begin_takeover() {
   // rejected now rather than held forever.
   std::vector<GroupId> unknown;
   for (const auto& [g, queued] : pending_fwd_) {
-    if (!cgroups_.contains(g) && !plan.contains(g)) unknown.push_back(g);
+    if (!authority_.lookup(g) && !plan.contains(g)) unknown.push_back(g);
   }
   for (GroupId g : unknown) {
     for (const Message& m : pending_fwd_[g]) {
-      coord_send_result(m.origin_server, m, Status::error(Errc::kNotFound));
+      coord_relay(m.origin_server, m.sender,
+                  make_reply(Status::error(Errc::kNotFound), m.request_id));
     }
     pending_fwd_.erase(g);
   }
@@ -547,9 +419,7 @@ void ReplicaServer::coord_handle_takeover_state(NodeId from, const Message& m) {
     pending_fwd_.erase(m.group);
     return;
   }
-  Group cg = restore_full_copy(m);
-  coord_persist_create(cg);
-  cgroups_.insert_or_assign(m.group, std::move(cg));
+  authority_.install(restore_full_copy(m));
   coord_finish_takeover();
 }
 
@@ -559,7 +429,7 @@ void ReplicaServer::coord_finish_takeover() {
   // the held multicasts sequence normally.
   std::vector<GroupId> ready;
   for (const auto& [g, queued] : pending_fwd_) {
-    if (cgroups_.contains(g)) ready.push_back(g);
+    if (authority_.lookup(g) != nullptr) ready.push_back(g);
   }
   for (GroupId g : ready) {
     auto queued = std::move(pending_fwd_[g]);
@@ -612,7 +482,7 @@ void ReplicaServer::coord_handle_digest_request(NodeId from, const Message& m) {
   if (!is_coordinator()) return;
   // Ship, per group: the digest of the retained history plus the branch
   // content itself (base snapshot + records), then a sentinel.
-  for (const auto& [g, cg] : cgroups_) {
+  for (const auto& [g, cg] : authority_.groups()) {
     Message reply = make_full_copy(cg.meta(), cg.state(), cg.member_list());
     reply.type = MsgType::kDigestReply;
     const BranchDigest digest = make_branch_digest(cg.state());
@@ -637,13 +507,11 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
     return;
   }
 
-  Group* mine = coord_find(m.group);
+  Group* mine = authority_.lookup(m.group);
   if (mine == nullptr) {
     // The group only exists on the other side (created during the
     // partition): adopt it wholesale, no conflict.
-    Group cg = restore_full_copy(m);
-    coord_persist_create(cg);
-    cgroups_.emplace(m.group, std::move(cg));
+    authority_.install(restore_full_copy(m));
     ++stats_.reconciled_groups;
     coord_push_group_state(m.group);
     return;
@@ -689,8 +557,7 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
                           mine->meta().persistent});
     split.restore(*fork, state_at(mine->state(), *fork).snapshot(), {});
     for (UpdateRecord& u : outcome.split_tail) split.sequence(u, nullptr);
-    coord_persist_create(split);
-    cgroups_.insert_or_assign(*outcome.split_group, std::move(split));
+    authority_.install(std::move(split));
     coord_push_group_state(*outcome.split_group);
   }
   ++stats_.reconciled_groups;
@@ -700,7 +567,7 @@ void ReplicaServer::coord_handle_digest_reply(NodeId from, const Message& m) {
 void ReplicaServer::coord_install_merged(GroupId g, SeqNo fork,
                                          std::vector<UpdateRecord> tail) {
   // Rewind to the fork and re-sequence the surviving branch after it.
-  Group& cg = cgroups_.at(g);
+  Group& cg = *authority_.lookup(g);
   cg.state() = state_at(cg.state(), fork);
   cg.set_next_seq(fork + 1);
   for (UpdateRecord& u : tail) cg.sequence(u, nullptr);
@@ -710,7 +577,7 @@ void ReplicaServer::coord_install_merged(GroupId g, SeqNo fork,
 }
 
 void ReplicaServer::coord_push_group_state(GroupId g) {
-  const Group& cg = cgroups_.at(g);
+  const Group& cg = *authority_.lookup(g);
   Message push = make_full_copy(cg.meta(), cg.state(), cg.member_list());
   push.accept = true;  // authoritative push: receivers reload
   for (NodeId holder : repl_.holders(g)) {
@@ -729,15 +596,14 @@ void ReplicaServer::coord_handle_push(NodeId from, const Message& m) {
   // replace our copy (keeping its members), relay to our side's holders,
   // and refresh local members.
   Group cg = restore_full_copy(m);
-  if (const Group* old = coord_find(m.group)) {
+  if (const Group* old = authority_.lookup(m.group)) {
     for (const auto& [client, info] : old->members()) {
       cg.set_member(client, info);
     }
   }
-  coord_persist_create(cg);
-  store_->install_checkpoint(m.group, cg.state().base_seq(),
-                             cg.state().snapshot_at_base());
-  cgroups_.insert_or_assign(m.group, std::move(cg));
+  const Group& pushed = authority_.install(std::move(cg));
+  store_->install_checkpoint(m.group, pushed.state().base_seq(),
+                             pushed.state().snapshot_at_base());
 
   for (NodeId holder : repl_.holders(m.group)) {
     if (!(holder == id()) && !(holder == from)) send(holder, m);

@@ -11,21 +11,21 @@ namespace corona {
 
 ReplicaServer::ReplicaServer(ReplicaConfig cfg,
                              std::vector<NodeId> startup_servers,
-                             GroupStore* store)
+                             GroupStore* store,
+                             SessionManager* session_manager)
     : cfg_(cfg),
       registry_(std::move(startup_servers)),
+      session_(session_manager),
       to_leaves_(cfg.batch_max_msgs, cfg.batch_max_delay, kCoordBatchTimer),
       to_clients_(cfg.batch_max_msgs, cfg.batch_max_delay, kLeafBatchTimer),
       coord_fd_(cfg.fd_timeout),
       repl_(cfg.min_copies),
       leaf_fd_(cfg.fd_timeout),
-      store_(store) {
+      owned_store_(store == nullptr ? std::make_unique<GroupStore>() : nullptr),
+      store_(store != nullptr ? store : owned_store_.get()),
+      authority_(store_) {
   assert(!registry_.servers().empty());
   coordinator_ = registry_.servers().front();
-  if (store_ == nullptr) {
-    owned_store_ = std::make_unique<GroupStore>();
-    store_ = owned_store_.get();
-  }
 }
 
 ReplicaServer::~ReplicaServer() = default;
@@ -91,8 +91,8 @@ const SharedState* ReplicaServer::local_state(GroupId g) const {
 }
 
 const SharedState* ReplicaServer::coord_state(GroupId g) const {
-  auto it = cgroups_.find(g);
-  return it != cgroups_.end() ? &it->second.state() : nullptr;
+  const Group* cg = authority_.lookup(g);
+  return cg != nullptr ? &cg->state() : nullptr;
 }
 
 std::vector<NodeId> ReplicaServer::coord_holders(GroupId g) const {
@@ -108,9 +108,17 @@ std::vector<NodeId> ReplicaServer::coord_holders(GroupId g) const {
 // dispatch-ignore: kInvalid -- sentinel; the decoder rejects it upstream
 // dispatch-ignore: kReply kDeliver kMembershipInfo -- emitted to clients only
 // dispatch-ignore: kResendRequest -- sent to clients, handled client-side
+// dispatch-ignore: kLockGrant -- reaches clients inside a relayed
+//   kGroupOpResult, built by the group authority (core/authority.cc)
 void ReplicaServer::on_message(NodeId from, const Message& m) {
   if (from == coordinator_) coord_fd_.heard_from(from, now());
   if (is_coordinator()) leaf_fd_.heard_from(from, now());
+  // Authorized where the client is connected: a join is answered from this
+  // leaf's copy before the coordinator hears of it.
+  if (Status s = authorize_request(session_, from, m); !s) {
+    send(from, make_denial(m, std::move(s)));
+    return;
+  }
 
   switch (m.type) {
     // ---- client protocol (leaf side) ----
@@ -118,15 +126,17 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
     case MsgType::kLeave: leaf_handle_leave(from, m); break;
     case MsgType::kBcastState:
     case MsgType::kBcastUpdate: leaf_handle_bcast(from, m); break;
+    // Coordinator decisions, forwarded verbatim:
     case MsgType::kCreateGroup:
     case MsgType::kDeleteGroup:
     case MsgType::kLockRequest:
     case MsgType::kLockRelease:
-    case MsgType::kReduceLog: leaf_handle_client(from, m); break;
+    case MsgType::kReduceLog: forward_group_op(from, m); break;
     case MsgType::kGetMembership: {
+      // From this leaf's copy; a leaf without one asks the coordinator.
       auto it = local_.find(m.group);
       if (it == local_.end()) {
-        send(from, make_reply(Status::error(Errc::kNotFound), m.request_id));
+        forward_group_op(from, m);
         break;
       }
       send(from, make_membership_info(m.group, m.request_id,
@@ -170,10 +180,18 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
     case MsgType::kServerHello: coord_handle_hello(from, m); break;
     case MsgType::kFwdMulticast: coord_handle_fwd_multicast(from, m); break;
     case MsgType::kGroupOp: coord_handle_group_op(from, m); break;
-    case MsgType::kGroupOpResult: leaf_handle_group_op_result(m); break;
+    case MsgType::kGroupOpResult:
+      // The coordinator's answer to a client of this leaf, sent on unchanged.
+      if (Result<Message> answer = Message::decode(m.payload)) {
+        send(m.sender, answer.value());
+      } else {
+        LOG_WARN("replica", "dropped an undecodable answer for client ",
+                 m.sender.value, ": ", answer.status());
+      }
+      break;
     case MsgType::kSeqMulticast: leaf_handle_seq_multicast(m); break;
     case MsgType::kStateQuery: {
-      if (is_coordinator() && cgroups_.contains(m.group)) {
+      if (is_coordinator() && authority_.lookup(m.group) != nullptr) {
         coord_handle_state_query(from, m);
       } else if (local_.contains(m.group)) {
         // Takeover pull served from a leaf copy.
@@ -358,11 +376,6 @@ void ReplicaServer::leaf_handle_leave(NodeId from, const Message& m) {
   forward_group_op(from, m);
 }
 
-void ReplicaServer::leaf_handle_client(NodeId from, const Message& m) {
-  // Create/delete/locks/reduce are coordinator decisions; forward verbatim.
-  forward_group_op(from, m);
-}
-
 void ReplicaServer::leaf_handle_bcast(NodeId from, const Message& m) {
   auto it = local_.find(m.group);
   if (it == local_.end() || !it->second.local_members.contains(from)) {
@@ -523,40 +536,6 @@ void ReplicaServer::leaf_handle_notice(const Message& m) {
   }
 }
 
-void ReplicaServer::leaf_handle_group_op_result(const Message& m) {
-  switch (m.fwd_type) {
-    case MsgType::kLockGrant: {
-      Message grant;
-      grant.type = MsgType::kLockGrant;
-      grant.group = m.group;
-      grant.object = m.object;
-      grant.request_id = m.request_id;
-      send(m.sender, grant);
-      break;
-    }
-    case MsgType::kReduceLog: {
-      Message done;
-      done.type = MsgType::kLogReduced;
-      done.group = m.group;
-      done.seq = m.seq;
-      done.request_id = m.request_id;
-      send(m.sender, done);
-      break;
-    }
-    case MsgType::kJoin:
-    case MsgType::kLeave:
-      // Already acknowledged local-first; a failed join at the coordinator
-      // (e.g. group deleted concurrently) surfaces as an error here.
-      if (m.status != Errc::kOk) {
-        send(m.sender, make_reply(Status{m.status, m.text}, m.request_id));
-      }
-      break;
-    default:
-      send(m.sender, make_reply(Status{m.status, m.text}, m.request_id));
-      break;
-  }
-}
-
 void ReplicaServer::leaf_handle_group_deleted(const Message& m) {
   auto it = local_.find(m.group);
   if (it == local_.end()) return;
@@ -647,7 +626,7 @@ void ReplicaServer::handle_announce(NodeId from, const Message& m) {
     // follow, and re-register as a leaf.
     if (m.epoch > term_) {
       std::vector<NodeId> my_side = registry_.servers();
-      cgroups_.clear();
+      authority_.forget_all();
       role_ = Role::kLeaf;
       adopt_coordinator(m.sender, m.epoch);
       for (NodeId s : my_side) {

@@ -20,7 +20,8 @@
 //                coordinator with a staged failure detector and run the
 //                first-in-list election.
 // Coordinator:   sequence multicasts (total + causal order, FIFO per
-//                sender); own global membership, locks and persistence;
+//                sender); own global membership, locks and persistence
+//                through the GroupAuthority the single server runs too;
 //                heartbeat the leaves; maintain the server registry; keep
 //                >= 2 state copies per group alive via backup assignment;
 //                take over state from the freshest holders after an
@@ -34,8 +35,10 @@
 #include <set>
 #include <vector>
 
+#include "core/authority.h"
 #include "core/group.h"
 #include "core/outbox.h"
+#include "core/session_manager.h"
 #include "core/state_transfer.h"
 #include "replica/election.h"
 #include "replica/failure_detector.h"
@@ -102,8 +105,11 @@ class ReplicaServer : public Node {
   // `startup_servers` is the configuration-file server list, coordinator
   // first; it must contain this node's id.  `store` is the durable store
   // used while this node is coordinator (nullptr = private throwaway).
+  // `session_manager` authorizes the requests of this server's clients
+  // (nullptr allows all).
   ReplicaServer(ReplicaConfig cfg, std::vector<NodeId> startup_servers,
-                GroupStore* store = nullptr);
+                GroupStore* store = nullptr,
+                SessionManager* session_manager = nullptr);
   ~ReplicaServer() override;
 
   void on_start() override;
@@ -124,7 +130,7 @@ class ReplicaServer : public Node {
   // the group exists).
   const SharedState* coord_state(GroupId g) const;
   std::vector<NodeId> coord_holders(GroupId g) const;
-  std::size_t coord_group_count() const { return cgroups_.size(); }
+  std::size_t coord_group_count() const { return authority_.groups().size(); }
 
   // -- partition healing -------------------------------------------------------
   // Called on the surviving/primary coordinator once connectivity returns
@@ -157,7 +163,6 @@ class ReplicaServer : public Node {
   std::vector<GroupHead> local_group_heads() const;
 
   // ====================== leaf side ===================================
-  void leaf_handle_client(NodeId from, const Message& m);
   void leaf_handle_join(NodeId from, const Message& m);
   void leaf_serve_join(LocalGroup& lg, NodeId client, const Message& m);
   void leaf_handle_leave(NodeId from, const Message& m);
@@ -172,7 +177,6 @@ class ReplicaServer : public Node {
   // resynchronizes them with the member resync.
   void leaf_reload(LocalGroup& lg, const Message& m);
   void leaf_handle_notice(const Message& m);
-  void leaf_handle_group_op_result(const Message& m);
   void leaf_handle_group_deleted(const Message& m);
   void leaf_handle_log_reduced(const Message& m);
   void leaf_request_state(GroupId g);
@@ -186,33 +190,30 @@ class ReplicaServer : public Node {
   void handle_announce(NodeId from, const Message& m);
 
   // ====================== coordinator side (coordinator.cc) ===========
+  // The authority's route: answers go back through the client's leaf.
+  struct Relay;
+  // Sends `m` to `client` through `leaf`, which forwards it unchanged.
+  void coord_relay(NodeId leaf, NodeId client, const Message& m);
   CORONA_HOT_PATH void coord_handle_fwd_multicast(NodeId from,
                                                   const Message& m);
   // Sequences `rec` into `cg` and queues the kSeqMulticast for its holders.
   CORONA_HOT_PATH void coord_sequence(Group& cg, UpdateRecord rec,
                                       bool sender_inclusive);
   void coord_handle_group_op(NodeId from, const Message& m);
-  void coord_op_create(NodeId leaf, const Message& m);
-  void coord_op_delete(NodeId leaf, const Message& m);
-  void coord_op_join(NodeId leaf, const Message& m);
-  void coord_op_leave(NodeId leaf, const Message& m);
-  void coord_op_lock(NodeId leaf, const Message& m);
-  void coord_op_unlock(NodeId leaf, const Message& m);
-  void coord_op_reduce(NodeId leaf, const Message& m);
-  void coord_erase_group(GroupId g);  // delete, or a transient group's end
+  // Registers a member that joined (or re-registered) through `leaf`, which
+  // has answered the join from its copy already.
+  void coord_op_join(Relay& route, NodeId leaf, const Message& m);
+  // After a leave through `leaf`: releases or keeps the leaf's copy.
+  void coord_release_copy(GroupId g, NodeId leaf);
   void coord_handle_state_query(NodeId from, const Message& m);
   void coord_handle_resend(const Message& m);
   void coord_handle_hello(NodeId from, const Message& m);
   void coord_handle_heartbeat_ack(NodeId from, const Message& m);
   void coord_heartbeat_tick();
   void coord_drop_server(NodeId leaf);
-  void coord_send_notice(const Group& cg, NodeId subject, MemberRole role,
-                         bool joined);
+  // Restores the hot-standby invariant of `g`; forgets its copies once the
+  // group has ended.
   void coord_maybe_assign_backup(GroupId g);
-  void coord_send_result(NodeId leaf, const Message& original, Status s);
-  void coord_route_lock_grant(GroupId g, ObjectId obj, NodeId client);
-  Group* coord_find(GroupId g);
-  void coord_persist_create(const Group& cg);
   void coord_flush_tick();
   // takeover
   void coord_begin_takeover();
@@ -243,6 +244,7 @@ class ReplicaServer : public Node {
   std::uint64_t voted_term_ = 0;
   ServerRegistry registry_;
   ReplicaStats stats_;
+  SessionManager* session_;  // nullptr allows all
 
   // Batched fan-out of already-sequenced frames: kSeqMulticast to holder
   // leaves (coordinator) and kDeliver to local members (leaf).
@@ -257,11 +259,12 @@ class ReplicaServer : public Node {
   ElectionTally tally_;
 
   // coordinator
-  std::map<GroupId, Group> cgroups_;
   ReplicationManager repl_;
   FailureDetector leaf_fd_;
+  std::unique_ptr<GroupStore> owned_store_;  // when no store is passed in
   GroupStore* store_;
-  std::unique_ptr<GroupStore> owned_store_;
+  // Never reduces on its own: the star runs no reduction policy.
+  GroupAuthority authority_;
   std::map<GroupId, std::vector<Message>> pending_fwd_;  // takeover queue
   bool collecting_hellos_ = false;
   std::map<NodeId, std::vector<GroupHead>> hello_reports_;

@@ -29,11 +29,14 @@ struct SingleServerWorld {
   HostId server_host;
   std::vector<HostId> client_hosts;
 
+  // `session` (nullptr allows all) authorizes the clients' requests.
   explicit SingleServerWorld(std::size_t n_clients,
                              ServerConfig config = ServerConfig{},
-                             CoronaClient::Callbacks callbacks = {}) {
+                             CoronaClient::Callbacks callbacks = {},
+                             SessionManager* session = nullptr) {
     server_host = rt.network().add_host(HostProfile{});
-    server = std::make_unique<CoronaServer>(std::move(config), &store);
+    server =
+        std::make_unique<CoronaServer>(std::move(config), &store, session);
     rt.add_node(kServerId, server.get(), server_host);
     for (std::size_t i = 0; i < n_clients; ++i) {
       client_hosts.push_back(rt.network().add_host(HostProfile{}));
@@ -69,16 +72,19 @@ struct ReplicatedWorld {
   std::vector<HostId> server_hosts;
   std::vector<NodeId> server_ids;
 
+  // `session` (nullptr allows all) authorizes the clients' requests at
+  // every server.
   ReplicatedWorld(std::size_t n_servers, std::size_t n_clients,
                   ReplicaConfig cfg = ReplicaConfig{},
-                  CoronaClient::Callbacks callbacks = {}) {
+                  CoronaClient::Callbacks callbacks = {},
+                  SessionManager* session = nullptr) {
     for (std::size_t i = 0; i < n_servers; ++i) {
       server_ids.push_back(server_id(i));
     }
     for (std::size_t i = 0; i < n_servers; ++i) {
       server_hosts.push_back(rt.network().add_host(HostProfile{}));
-      servers.push_back(
-          std::make_unique<ReplicaServer>(cfg, server_ids, nullptr));
+      servers.push_back(std::make_unique<ReplicaServer>(cfg, server_ids,
+                                                        nullptr, session));
       rt.add_node(server_ids[i], servers[i].get(), server_hosts[i]);
     }
     for (std::size_t i = 0; i < n_clients; ++i) {

@@ -110,6 +110,10 @@ TEST(Election, NackLoses) {
   t.vote(7, NodeId{3}, false);
   EXPECT_TRUE(t.lost());
   EXPECT_FALSE(t.won());
+  // A voter that acked and then nacks counts once, as a nack.
+  t.vote(7, NodeId{2}, false);
+  EXPECT_EQ(t.acks(), 0u);
+  EXPECT_EQ(t.nacks(), 2u);
 }
 
 TEST(Election, WrongEpochAndDuplicateVotesIgnored) {

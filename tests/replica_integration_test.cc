@@ -382,9 +382,10 @@ TEST(Replicated, TakeoverPullsAGroupTheNewCoordinatorDoesNotHold) {
 }
 
 TEST(Replicated, CoordinatorRefusesAGroupOpItDoesNotServe) {
-  // Leaves forward only create, delete, join, leave, lock and reduce as
-  // group ops.  Anything else arriving as one (here a multicast) is
-  // refused with kInvalidArgument, routed back like any op result.
+  // Leaves forward only create, delete, join, leave, membership queries,
+  // locks and reduce as group ops.  Anything else arriving as one (here a
+  // multicast) is refused with a kInvalidArgument kReply, relayed back like
+  // any answer: a kGroupOpResult carrying the client's encoded message.
   ReplicatedWorld w(2, 1);
   w.client(0).create_group(kG, "g", true);
   w.settle();
@@ -403,8 +404,12 @@ TEST(Replicated, CoordinatorRefusesAGroupOpItDoesNotServe) {
   w.settle();
   ASSERT_EQ(probe.got.size(), 1u);
   EXPECT_EQ(probe.got[0].type, MsgType::kGroupOpResult);
-  EXPECT_EQ(probe.got[0].status, Errc::kInvalidArgument);
-  EXPECT_EQ(probe.got[0].request_id, 7u);
+  EXPECT_EQ(probe.got[0].sender, client_id(0));
+  Result<Message> answer = Message::decode(probe.got[0].payload);
+  ASSERT_TRUE(answer.is_ok());
+  EXPECT_EQ(answer.value().type, MsgType::kReply);
+  EXPECT_EQ(answer.value().status, Errc::kInvalidArgument);
+  EXPECT_EQ(answer.value().request_id, 7u);
 }
 
 TEST(Replicated, ElectionSkipsDeadFirstServer) {
@@ -543,9 +548,10 @@ TEST(Replicated, BatchedSenderExclusiveMulticastSkipsOnlyOrigin) {
   EXPECT_EQ(log.seqs_for(client_id(1)).size(), 1u) << "other member skipped";
 }
 
-TEST(Replicated, LeaveRacingGroupDeleteReportsNotFound) {
+TEST(Replicated, LeaveRacingGroupDeleteReportsNotMember) {
   // A leave that reaches the coordinator after the group was deleted must
-  // come back as an explicit kNotFound reply, not vanish.  The race is
+  // come back as an explicit kNotMember reply (the one leave rule: a leave
+  // of a missing group or by a non-member), not vanish.  The race is
   // driven deterministically over one leaf's FIFO links: the client issues
   // delete-then-leave back to back, so the leaf still hosts the group when
   // the leave arrives (the kGroupDeleted purge is still in flight) and
@@ -562,12 +568,12 @@ TEST(Replicated, LeaveRacingGroupDeleteReportsNotFound) {
   w.client(0).delete_group(kG);
   w.client(0).leave(kG);
   w.settle();
-  bool saw_not_found = false;
+  bool saw_not_member = false;
   for (const Status& s : replies) {
-    if (s.code == Errc::kNotFound) saw_not_found = true;
+    if (s.code == Errc::kNotMember) saw_not_member = true;
   }
-  EXPECT_TRUE(saw_not_found)
-      << "leave after delete must surface kNotFound through the leaf";
+  EXPECT_TRUE(saw_not_member)
+      << "leave after delete must surface kNotMember through the leaf";
 }
 
 TEST(Replicated, LeaveThroughALeafIsAcknowledged) {
