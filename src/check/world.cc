@@ -23,7 +23,7 @@ struct Fnv {
   void u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
   }
-  void bytes(const Bytes& b) {
+  void bytes(BytesView b) {
     u64(b.size());
     for (std::uint8_t c : b) byte(c);
   }
@@ -38,7 +38,7 @@ struct Fnv {
   }
 };
 
-std::uint64_t hash_bytes(const Bytes& b) {
+std::uint64_t hash_bytes(BytesView b) {
   Fnv f;
   f.bytes(b);
   return f.h;

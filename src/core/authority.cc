@@ -4,6 +4,7 @@
 
 #include "core/state_transfer.h"
 #include "util/invariant.h"
+#include "util/logging.h"
 
 namespace corona {
 
@@ -44,6 +45,28 @@ Group& GroupAuthority::install(Group group) {
   }
   if (reduction_) policies_[g] = reduction_();
   return groups_.insert_or_assign(g, std::move(group)).first->second;
+}
+
+void GroupAuthority::recover_from_store() {
+  for (const RecoveredGroup& rg : store_->recover()) {
+    if (lookup(rg.meta.id) != nullptr) continue;
+    if (!rg.meta.persistent) {
+      // Left in the store, its image would shadow a later group created on
+      // the same id: install() keeps an image the store already has.
+      // reach: waive blocking-in-loop-context -- start-up, before any
+      // client is served.
+      store_->remove_group(rg.meta.id);
+      continue;
+    }
+    Group recovered(rg.meta);
+    recovered.restore(rg.base_seq, rg.snapshot, rg.updates);
+    // reach: waive blocking-in-loop-context -- every recovered group is
+    // already in the store, so install() creates none.
+    const Group& group = install(std::move(recovered));
+    LOG_INFO("authority", "recovered ", rg.meta.id,
+             " head=", group.state().head_seq(),
+             " objects=", group.state().object_count());
+  }
 }
 
 void GroupAuthority::forget_all() {
@@ -124,11 +147,12 @@ void GroupAuthority::drop_lost(
 }
 
 bool GroupAuthority::part(Route& route, Group& group, NodeId who) {
+  const MemberRole role = group.members().at(who).role;
   // Leaving releases the leaver's locks; queued waiters get grants.
   for (const auto& [obj, grantee] : group.remove_member(who)) {
     route.to_member(group, grantee, lock_grant(group.meta().id, obj));
   }
-  announce(route, group, who, MemberRole::kPrincipal, /*joined=*/false);
+  announce(route, group, who, role, /*joined=*/false);
   CORONA_CHECK_INVARIANTS(group);
   // Transient groups cease to exist at null membership; persistent groups
   // and their shared state outlive their members (§3.1).

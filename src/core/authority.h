@@ -44,6 +44,10 @@ class GroupAuthority {
   const std::map<GroupId, Group>& groups() const { return groups_; }
   // Adds or replaces `group`; creates it in the store if the store lacks it.
   Group& install(Group group);
+  // Start-up recovery (§3.1): installs each persistent group of the durable
+  // store that is not already held, and removes each transient group the
+  // store still holds, since a transient group ends with its members.
+  void recover_from_store();
   void forget_all();  // a demoted coordinator's; the store is left alone
 
   // Client requests, each answered through `route`; `client` is the member

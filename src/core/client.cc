@@ -61,35 +61,32 @@ RequestId CoronaClient::get_membership(GroupId g) {
   return rid;
 }
 
-RequestId CoronaClient::bcast_state(GroupId g, ObjectId obj, Bytes payload,
+RequestId CoronaClient::bcast_state(GroupId g, ObjectId obj, Payload payload,
                                     bool sender_inclusive) {
-  RecursiveMutexLock lock(mu_);
-  const RequestId rid = next_request();
-  UpdateRecord rec;
-  rec.kind = PayloadKind::kState;
-  rec.object = obj;
-  rec.data = payload;
-  rec.sender = id();
-  rec.request_id = rid;
-  remember_send(g, std::move(rec));
-  send(server_, make_bcast(PayloadKind::kState, g, obj, std::move(payload),
-                           sender_inclusive, rid));
-  return rid;
+  return bcast(PayloadKind::kState, g, obj, std::move(payload),
+               sender_inclusive);
 }
 
-RequestId CoronaClient::bcast_update(GroupId g, ObjectId obj, Bytes payload,
-                                     bool sender_inclusive) {
+RequestId CoronaClient::bcast_update(GroupId g, ObjectId obj,
+                                     Payload payload, bool sender_inclusive) {
+  return bcast(PayloadKind::kUpdate, g, obj, std::move(payload),
+               sender_inclusive);
+}
+
+RequestId CoronaClient::bcast(PayloadKind kind, GroupId g, ObjectId obj,
+                              Payload payload, bool sender_inclusive) {
   RecursiveMutexLock lock(mu_);
   const RequestId rid = next_request();
+  // The resend buffer's record and the outgoing message share one buffer.
   UpdateRecord rec;
-  rec.kind = PayloadKind::kUpdate;
+  rec.kind = kind;
   rec.object = obj;
   rec.data = payload;
   rec.sender = id();
   rec.request_id = rid;
   remember_send(g, std::move(rec));
-  send(server_, make_bcast(PayloadKind::kUpdate, g, obj, std::move(payload),
-                           sender_inclusive, rid));
+  send(server_,
+       make_bcast(kind, g, obj, std::move(payload), sender_inclusive, rid));
   return rid;
 }
 

@@ -102,10 +102,10 @@ class CoronaClient : public Node {
   RequestId leave(GroupId g);
   RequestId get_membership(GroupId g);
   CORONA_HOT_PATH RequestId bcast_state(GroupId g, ObjectId obj,
-                                        Bytes payload,
+                                        Payload payload,
                                         bool sender_inclusive = true);
   CORONA_HOT_PATH RequestId bcast_update(GroupId g, ObjectId obj,
-                                         Bytes payload,
+                                         Payload payload,
                                          bool sender_inclusive = true);
   RequestId lock(GroupId g, ObjectId obj);
   RequestId unlock(GroupId g, ObjectId obj);
@@ -147,9 +147,10 @@ class CoronaClient : public Node {
   };
 
   RequestId next_request() CORONA_REQUIRES(mu_) { return next_request_id_++; }
+  RequestId bcast(PayloadKind kind, GroupId g, ObjectId obj, Payload payload,
+                  bool sender_inclusive);
   // Takes the record by value: callers hand over their last use with
-  // std::move, so the resend buffer entry is a move, not a deep copy of
-  // the payload bytes.
+  // std::move, so the resend buffer entry is a move.
   void remember_send(GroupId g, UpdateRecord rec) CORONA_REQUIRES(mu_);
   void handle_join_reply(const Message& m) CORONA_REQUIRES(mu_);
   void handle_deliver(const Message& m) CORONA_REQUIRES(mu_);

@@ -37,23 +37,10 @@ CoronaServer::CoronaServer(ServerConfig config, GroupStore* store,
 CoronaServer::~CoronaServer() = default;
 
 void CoronaServer::on_start() {
-  recover_from_store();
+  authority_.recover_from_store();
   if (config_.flush == FlushPolicy::kAsync) schedule_flush();
   if (config_.client_timeout > 0) {
     set_timer(config_.client_timeout / 2, kLivenessTimer);
-  }
-}
-
-void CoronaServer::recover_from_store() {
-  for (const RecoveredGroup& rg : store_->recover()) {
-    Group recovered(rg.meta);
-    recovered.restore(rg.base_seq, rg.snapshot, rg.updates);
-    // reach: waive blocking-in-loop-context -- every recovered group is
-    // already in the store, so install() creates none.
-    const Group& group = authority_.install(std::move(recovered));
-    LOG_INFO("server", "recovered ", rg.meta.id,
-             " head=", group.state().head_seq(),
-             " objects=", group.state().object_count());
   }
 }
 

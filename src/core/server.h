@@ -209,7 +209,6 @@ class CoronaServer : public Node {
   void schedule_flush();
   void flush_now();
   void process(NodeId from, const Message& m);  // post-QoS dispatch
-  void recover_from_store();
 
   ServerConfig config_;
   std::unique_ptr<GroupStore> owned_store_;  // when no store is passed in

@@ -28,7 +28,7 @@ void SharedState::apply_to(std::map<ObjectId, Bytes>& objects,
                            const UpdateRecord& rec) {
   Bytes& obj = objects[rec.object];
   if (rec.kind == PayloadKind::kState) {
-    obj = rec.data;
+    obj.assign(rec.data.begin(), rec.data.end());
   } else {
     obj.insert(obj.end(), rec.data.begin(), rec.data.end());
   }

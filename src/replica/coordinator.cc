@@ -80,16 +80,8 @@ void ReplicaServer::become_coordinator(std::uint64_t term) {
 
   // Cold-start recovery: persistent groups on this server's durable store
   // come back with their checkpoint + flushed log (§3.1 persistence across
-  // service restarts).  Transient groups died with their members and are
-  // not resurrected.
-  for (const RecoveredGroup& rg : store_->recover()) {
-    if (authority_.lookup(rg.meta.id) || !rg.meta.persistent) continue;
-    Group cg(rg.meta);
-    cg.restore(rg.base_seq, rg.snapshot, rg.updates);
-    const Group& recovered = authority_.install(std::move(cg));
-    LOG_INFO("replica", "coordinator recovered ", rg.meta.id,
-             " head=", recovered.state().head_seq());
-  }
+  // service restarts); transient groups died with their members.
+  authority_.recover_from_store();
 
   collecting_hellos_ = true;
   hello_reports_.clear();

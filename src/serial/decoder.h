@@ -45,6 +45,14 @@ class Decoder {
     pos_ += n;
     return b;
   }
+  // A bytes field copied straight from the input into a buffer of its own.
+  Payload get_payload() {
+    const std::uint64_t n = get_varint();
+    if (!require(n)) return {};
+    Payload p(in_.subspan(pos_, n));
+    pos_ += n;
+    return p;
+  }
   std::string get_string() {
     const std::uint64_t n = get_varint();
     if (!require(n)) return {};

@@ -72,7 +72,7 @@ UpdateRecord decode_update(Decoder& d) {
   u.seq = d.get_u64();
   u.kind = d.get_enum(PayloadKind::kUpdate);
   u.object = ObjectId(d.get_u64());
-  u.data = d.get_bytes();
+  u.data = d.get_payload();
   u.sender = NodeId(d.get_u64());
   u.timestamp = d.get_i64();
   u.request_id = d.get_u64();
@@ -94,6 +94,13 @@ Result<UpdateRecord> decode_update_record(BytesView wire) {
     return Status::error(Errc::kCorrupt, "bad update record");
   }
   return u;
+}
+
+Result<SeqNo> decode_update_seq(BytesView wire) {
+  Decoder d(wire);
+  const SeqNo seq = d.get_u64();
+  if (!d.ok()) return Status::error(Errc::kCorrupt, "bad update seq");
+  return seq;
 }
 
 Bytes encode_state_entry(const StateEntry& s) {
@@ -191,7 +198,7 @@ Result<Message> Message::decode(BytesView wire) {
   m.role = d.get_enum(MemberRole::kObserver);
   m.status = d.get_enum(Errc::kUnavailable);
   m.text = d.get_string();
-  m.payload = d.get_bytes();
+  m.payload = d.get_payload();
 
   const std::uint32_t n_state = d.get_u32();
   // Sanity bound: each entry takes >= 2 bytes on the wire.
@@ -315,8 +322,8 @@ Message make_get_membership(GroupId g, RequestId rid) {
   return m;
 }
 
-Message make_bcast(PayloadKind kind, GroupId g, ObjectId obj, Bytes payload,
-                   bool sender_inclusive, RequestId rid) {
+Message make_bcast(PayloadKind kind, GroupId g, ObjectId obj,
+                   Payload payload, bool sender_inclusive, RequestId rid) {
   Message m;
   m.type = kind == PayloadKind::kState ? MsgType::kBcastState
                                        : MsgType::kBcastUpdate;

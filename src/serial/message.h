@@ -115,7 +115,7 @@ struct UpdateRecord {
   SeqNo seq = 0;
   PayloadKind kind = PayloadKind::kUpdate;
   ObjectId object;
-  Bytes data;
+  Payload data;
   NodeId sender;
   TimePoint timestamp = 0;
   RequestId request_id = 0;
@@ -158,6 +158,9 @@ struct TransferPolicySpec {
 // Standalone record codecs, shared by the wire protocol and stable storage.
 CORONA_HOT_PATH Bytes encode_update_record(const UpdateRecord& u);
 Result<UpdateRecord> decode_update_record(BytesView wire);
+// The seq of an encoded update record, its first field, read without
+// decoding the rest; kCorrupt if no complete seq leads the buffer.
+Result<SeqNo> decode_update_seq(BytesView wire);
 CORONA_HOT_PATH Bytes encode_state_entry(const StateEntry& s);
 Result<StateEntry> decode_state_entry(BytesView wire);
 
@@ -185,7 +188,7 @@ struct Message {
   MemberRole role = MemberRole::kPrincipal;
   Errc status = Errc::kOk;
   std::string text;
-  Bytes payload;
+  Payload payload;
   std::vector<StateEntry> state;
   std::vector<UpdateRecord> updates;
   std::vector<MemberInfo> members;
@@ -213,8 +216,8 @@ Message make_join(GroupId g, TransferPolicySpec policy, MemberRole role,
                   bool notify_membership, RequestId rid);
 Message make_leave(GroupId g, RequestId rid);
 Message make_get_membership(GroupId g, RequestId rid);
-Message make_bcast(PayloadKind kind, GroupId g, ObjectId obj, Bytes payload,
-                   bool sender_inclusive, RequestId rid);
+Message make_bcast(PayloadKind kind, GroupId g, ObjectId obj,
+                   Payload payload, bool sender_inclusive, RequestId rid);
 Message make_lock_request(GroupId g, ObjectId obj, RequestId rid);
 Message make_lock_release(GroupId g, ObjectId obj, RequestId rid);
 Message make_reduce_log(GroupId g, SeqNo upto, RequestId rid);

@@ -8,7 +8,7 @@
 // Construction opens (creating if absent) the directory tree and loads every
 // valid checkpoint; logs load lazily as GroupStore opens them.  Reopening a
 // DiskEnv on the same directory after a crash and constructing a GroupStore
-// over it is the entire recovery story — CoronaServer::recover_from_store()
+// over it is the entire recovery story — GroupAuthority::recover_from_store()
 // then replays what GroupStore::recover() hands back.
 //
 // All backends of one env share one DiskCounters block, surfaced by stats().

@@ -122,8 +122,8 @@ void GroupStore::install_checkpoint(GroupId id, SeqNo base_seq,
   LogBackend& log = *it->second.log;
   std::size_t covered = 0;
   for (std::size_t i = 0; i < log.size(); ++i) {
-    auto rec = decode_update_record(log.record(i));
-    if (!rec.is_ok() || rec.value().seq > base_seq) break;
+    auto seq = decode_update_seq(log.record(i));
+    if (!seq.is_ok() || seq.value() > base_seq) break;
     ++covered;
   }
   log.drop_prefix(covered);

@@ -16,7 +16,7 @@
 namespace corona::testing {
 namespace {
 
-std::uint64_t fnv1a(const Bytes& data) {
+std::uint64_t fnv1a(BytesView data) {
   std::uint64_t h = 1469598103934665603ull;
   for (std::uint8_t b : data) {
     h ^= b;

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <optional>
+#include <tuple>
 
 #include "core/session_manager.h"
 #include "harness.h"
@@ -456,6 +457,34 @@ TYPED_TEST(FrontEnd, MembershipQueryListsEveryMember) {
   t.w.settle();
   EXPECT_EQ(heard.answer(missing), Errc::kNotFound);
   EXPECT_EQ(heard.members, (std::vector<NodeId>{client_id(0), client_id(1)}));
+}
+
+TYPED_TEST(FrontEnd, ALeaveNoticeNamesTheLeaversRole) {
+  // A member subscribed to membership notices hears each join and leave
+  // with the role of the member it names: an observer that joined as an
+  // observer leaves as one.
+  using Notice = std::tuple<NodeId, MemberRole, bool>;
+  std::vector<Notice> notices;
+  TypeParam t;
+  CoronaClient::Callbacks cb;
+  cb.on_membership_change = [&notices](GroupId, NodeId who, MemberRole role,
+                                       bool joined) {
+    notices.emplace_back(who, role, joined);
+  };
+  t.w.client(0).set_callbacks(std::move(cb));
+  t.w.client(0).create_group(kG, "g", /*persistent=*/true);
+  t.w.settle();
+  t.w.client(0).join(kG);
+  t.w.settle();
+  t.w.client(1).join(kG, TransferPolicySpec::full(), MemberRole::kObserver,
+                     /*notify_membership=*/false);
+  t.w.settle();
+  t.w.client(1).leave(kG);
+  t.w.settle();
+  EXPECT_EQ(notices,
+            (std::vector<Notice>{
+                {client_id(1), MemberRole::kObserver, /*joined=*/true},
+                {client_id(1), MemberRole::kObserver, /*joined=*/false}}));
 }
 
 TYPED_TEST(FrontEnd, TransientGroupEndsWhenItsOnlyMemberIsLost) {

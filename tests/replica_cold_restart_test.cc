@@ -66,6 +66,7 @@ TEST(ReplicaColdRestart, PersistentGroupsRecoverFromCoordinatorDisk) {
 
   ASSERT_NE(coordinator.coord_state(kPersistent), nullptr);
   EXPECT_EQ(coordinator.coord_state(kTransient), nullptr);
+  EXPECT_FALSE(disk.has_group(kTransient));  // its durable image went too
 
   // A brand-new client joins through a leaf and receives the durable state.
   late.join(kPersistent);
@@ -80,6 +81,59 @@ TEST(ReplicaColdRestart, PersistentGroupsRecoverFromCoordinatorDisk) {
   rt.run_for(1 * kSecond);
   EXPECT_EQ(to_string(*late.group_state(kPersistent)->object(kObj)),
             "durable-data+more");
+}
+
+// One life of a coordinator and a leaf over the coordinator's disk, with
+// one client connected through the leaf.
+struct Life {
+  explicit Life(GroupStore& disk)
+      : coordinator(ReplicaConfig{}, ids, &disk),
+        leaf(ReplicaConfig{}, ids),
+        client(ids[1]) {
+    rt.add_node(ids[0], &coordinator, rt.network().add_host(HostProfile{}));
+    rt.add_node(ids[1], &leaf, rt.network().add_host(HostProfile{}));
+    rt.add_node(NodeId{100}, &client, rt.network().add_host(HostProfile{}));
+    rt.start();
+    rt.run_for(500 * kMillisecond);
+  }
+  // Creates group `g`, joins it and writes `data`, then lets the flush land.
+  void write(GroupId g, bool persistent, const char* data) {
+    client.create_group(g, "g", persistent);
+    rt.run_for(300 * kMillisecond);
+    client.join(g);
+    rt.run_for(300 * kMillisecond);
+    client.bcast_update(g, kObj, to_bytes(data));
+    rt.run_for(1 * kSecond);
+  }
+
+  const std::vector<NodeId> ids{NodeId{1}, NodeId{2}};
+  SimRuntime rt;
+  ReplicaServer coordinator;
+  ReplicaServer leaf;
+  CoronaClient client;
+};
+
+TEST(ReplicaColdRestart, ATransientGroupLeavesNoImageToShadowALaterGroup) {
+  // The transient group of the first life dies with it.  A persistent group
+  // created on the same id in the second life is a new group: it must come
+  // back in the third life with its own state, not be taken for the dead
+  // transient one.
+  GroupStore disk;
+  {
+    Life first(disk);
+    first.write(kTransient, /*persistent=*/false, "ephemeral");
+  }
+  {
+    Life second(disk);
+    EXPECT_EQ(second.coordinator.coord_state(kTransient), nullptr);
+    second.write(kTransient, /*persistent=*/true, "durable");
+    ASSERT_NE(second.coordinator.coord_state(kTransient), nullptr);
+  }
+  Life third(disk);
+  const SharedState* state = third.coordinator.coord_state(kTransient);
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->head_seq(), 1u);
+  EXPECT_EQ(to_string(*state->object(kObj)), "durable");
 }
 
 TEST(ReplicaColdRestart, UnflushedTailLostOnColdRestart) {

@@ -65,6 +65,33 @@ TEST(Codec, TruncatedBufferTripsOkFlag) {
   EXPECT_FALSE(d.ok());
 }
 
+TEST(Codec, PayloadFieldsOwnTheirBytes) {
+  Encoder e;
+  e.put_bytes(Bytes{});
+  e.put_bytes(to_bytes("abc"));
+  const Bytes wire = e.take();
+  Decoder d(wire);
+  const Payload empty = d.get_payload();
+  const Payload abc = d.get_payload();
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(d.at_end());
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(abc, to_bytes("abc"));
+  // A copy of its own, not a slice that would pin the whole input.
+  EXPECT_TRUE(abc.data() < wire.data() ||
+              abc.data() >= wire.data() + wire.size());
+}
+
+TEST(Codec, TruncatedPayloadTripsOkFlag) {
+  Encoder e;
+  e.put_bytes(filler_bytes(100));
+  Bytes wire = e.take();
+  wire.resize(10);
+  Decoder d(wire);
+  EXPECT_TRUE(d.get_payload().empty());
+  EXPECT_FALSE(d.ok());
+}
+
 TEST(Codec, OverlongVarintRejected) {
   Bytes wire(11, 0x80);  // 11 continuation bytes: > 64 bits
   Decoder d(wire);
@@ -265,6 +292,25 @@ TEST(RecordCodec, CorruptRecordRejected) {
   Bytes wire = encode_update_record(UpdateRecord{});
   wire.pop_back();
   EXPECT_FALSE(decode_update_record(wire).is_ok());
+}
+
+TEST(RecordCodec, SeqReadsAloneFromAValidRecord) {
+  UpdateRecord u;
+  u.seq = 300;  // two varint bytes
+  u.data = filler_bytes(1000);
+  auto seq = decode_update_seq(encode_update_record(u));
+  ASSERT_TRUE(seq.is_ok());
+  EXPECT_EQ(seq.value(), 300u);
+}
+
+TEST(RecordCodec, SeqOfAnEmptyOrCutRecordIsCorrupt) {
+  EXPECT_EQ(decode_update_seq(Bytes{}).status().code, Errc::kCorrupt);
+  UpdateRecord u;
+  u.seq = 300;
+  const Bytes wire = encode_update_record(u);
+  ASSERT_EQ(wire[0] & 0x80, 0x80);  // the seq's varint continues
+  EXPECT_EQ(decode_update_seq(BytesView(wire).first(1)).status().code,
+            Errc::kCorrupt);
 }
 
 TEST(RecordCodec, OutOfRangePayloadKindRejected) {

@@ -522,6 +522,26 @@ TEST(ServerClient, ServerRestartRecoversPersistentGroups) {
             "before-crash");
 }
 
+TEST(ServerClient, ServerRestartEndsTransientGroups) {
+  // A transient group ends with its members (§3.1), and the crash took
+  // them all: the restarted server neither brings the group back nor keeps
+  // its durable image, which would shadow a later group on the same id.
+  SingleServerWorld w(1);
+  w.client(0).create_group(kG, "g", /*persistent=*/false);
+  w.settle();
+  w.client(0).join(kG);
+  w.settle();
+  w.client(0).bcast_update(kG, kObj, to_bytes("gone"));
+  w.settle();
+  w.rt.run_for(500 * kMillisecond);  // the async flush makes it durable
+  ASSERT_EQ(w.store.recover().size(), 1u);
+  w.crash_and_restart_server();
+
+  EXPECT_FALSE(w.server->has_group(kG));
+  EXPECT_FALSE(w.store.has_group(kG));
+  EXPECT_TRUE(w.store.recover().empty());
+}
+
 TEST(ServerClient, UnflushedTailRecoveredViaClientResend) {
   ServerConfig slow_flush;
   slow_flush.flush_interval = 10 * kSecond;  // effectively never during test

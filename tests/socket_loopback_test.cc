@@ -776,6 +776,110 @@ TEST(SocketLoopback, OneMemberPerConnectionKeepsOneFramePerMember) {
   EXPECT_EQ(after.frames_sent - before.frames_sent, kMembers);
 }
 
+// A server and `n` members hosted on one client runtime, so that one frame
+// carries each fan-out to every member.  Each member's journal keeps a copy
+// of every record delivered to it.
+struct MembersOnOneRuntime {
+  explicit MembersOnOneRuntime(std::size_t n) : journals(n) {
+    server_rt.add_node(kServerId, &server);
+    auto listening = server_rt.listen("127.0.0.1", 0);
+    if (listening.is_ok()) port = listening.value();
+    server_rt.start();
+    for (std::size_t i = 0; i < n; ++i) {
+      CoronaClient::Callbacks cb;
+      cb.on_deliver = [this, i](GroupId, const UpdateRecord& rec) {
+        std::lock_guard<std::mutex> lock(mu);
+        journals[i].push_back(rec);
+      };
+      cb.on_joined = [this](GroupId, Status s) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (s.is_ok()) ++joined;
+      };
+      cb.on_reply = [this](RequestId, Status s) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (s.is_ok()) ++replies;
+      };
+      members.push_back(std::make_unique<CoronaClient>(kServerId, cb));
+      client_rt.add_node(NodeId{100 + i}, members.back().get());
+    }
+    client_rt.set_peer_address(kServerId, Endpoint{"127.0.0.1", port});
+    client_rt.start();
+  }
+  ~MembersOnOneRuntime() {
+    client_rt.stop();
+    server_rt.stop();
+  }
+
+  // Member 0 creates the group and every member joins it.
+  bool join_all() {
+    members[0]->create_group(kG, "g", true);
+    if (!wait_until([&] { return counted(replies) >= 1; })) return false;
+    for (const auto& m : members) m->join(kG);
+    return wait_until([&] { return counted(joined) == members.size(); });
+  }
+  std::size_t counted(const std::size_t& counter) {
+    std::lock_guard<std::mutex> lock(mu);
+    return counter;
+  }
+  std::size_t delivered(std::size_t i) {
+    std::lock_guard<std::mutex> lock(mu);
+    return journals[i].size();
+  }
+
+  GroupStore store;
+  CoronaServer server{ServerConfig{}, &store};
+  SocketRuntime server_rt;
+  std::uint16_t port = 0;
+  std::mutex mu;
+  std::vector<std::vector<UpdateRecord>> journals;
+  std::size_t joined = 0;
+  std::size_t replies = 0;
+  std::vector<std::unique_ptr<CoronaClient>> members;
+  SocketRuntime client_rt;  // declared last: its loop stops first
+};
+
+TEST(SocketLoopback, MembersOnOneRuntimeShareEachDeliveredPayload) {
+  // The client runtime decodes each frame once for all the members it
+  // lists, and their records share that decode's payload instead of each
+  // copying it: both members' delivered bytes live at one address.
+  MembersOnOneRuntime w(2);
+  ASSERT_NE(w.port, 0);
+  ASSERT_TRUE(w.join_all());
+  w.members[0]->bcast_update(kG, kObj, to_bytes("shared"));
+  ASSERT_TRUE(
+      wait_until([&] { return w.delivered(0) == 1 && w.delivered(1) == 1; }));
+  std::lock_guard<std::mutex> lock(w.mu);
+  EXPECT_EQ(to_string(w.journals[1][0].data), "shared");
+  EXPECT_EQ(w.journals[0][0].data.data(), w.journals[1][0].data.data());
+}
+
+TEST(SocketLoopback, LeaveOnAnApplicationThreadWhileTheLoopDelivers) {
+  // Member 0 leaves on this thread, which drops its replica and with it
+  // its references to payload buffers, while the loop thread goes on
+  // handing the same buffers to member 1.  The reference counts are shared
+  // across threads; the thread sanitizer run checks them.
+  MembersOnOneRuntime w(2);
+  ASSERT_NE(w.port, 0);
+  ASSERT_TRUE(w.join_all());
+  ClientProc publisher(NodeId{200}, w.port);
+  publisher.client->join(kG);
+  ASSERT_TRUE(wait_until([&] { return publisher.joins() == 1; }));
+
+  constexpr std::size_t kSends = 400;
+  for (std::size_t i = 0; i < kSends; ++i) {
+    publisher.client->bcast_update(kG, kObj, to_bytes("x"),
+                                   /*sender_inclusive=*/false);
+    if (i == kSends / 2) {
+      EXPECT_TRUE(wait_until([&] { return w.delivered(1) >= 1; }));
+      w.members[0]->leave(kG);
+    }
+  }
+  ASSERT_TRUE(wait_until([&] { return w.delivered(1) == kSends; }));
+  EXPECT_FALSE(w.members[0]->is_joined(kG));
+  std::lock_guard<std::mutex> lock(w.mu);
+  EXPECT_EQ(w.journals[1].back().seq, kSends);
+}
+
 // Appends (node, seq) for every delivery to any node sharing the journal,
 // so a test can check the order across nodes.
 struct SharedJournal {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "util/bytes.h"
@@ -20,6 +21,68 @@ TEST(Bytes, FillerIsDeterministic) {
   EXPECT_EQ(filler_bytes(64), filler_bytes(64));
   EXPECT_NE(filler_bytes(64, 1), filler_bytes(64, 2));
   EXPECT_EQ(filler_bytes(1000).size(), 1000u);
+}
+
+TEST(Payload, ACopySharesTheBuffer) {
+  const Bytes bytes = to_bytes("shared");
+  const Payload p(bytes);
+  EXPECT_NE(p.data(), bytes.data());  // built once, by copying
+  const Payload q = p;
+  EXPECT_EQ(q.data(), p.data());
+  Payload r;
+  r = q;
+  EXPECT_EQ(r.data(), p.data());
+  EXPECT_EQ(to_string(r), "shared");
+}
+
+TEST(Payload, AssignmentAndMovesKeepTheOneBuffer) {
+  const Payload p(to_bytes("abc"));
+  Payload q(to_bytes("other"));
+  q = p;  // the old buffer is released, the new one shared
+  EXPECT_EQ(q.data(), p.data());
+  Payload& same = q;
+  q = same;
+  EXPECT_EQ(q.data(), p.data());
+  Payload r = std::move(q);
+  EXPECT_EQ(r.data(), p.data());
+  EXPECT_TRUE(q.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  q = std::move(r);
+  EXPECT_EQ(to_string(q), "abc");
+}
+
+TEST(Payload, EqualityComparesBytes) {
+  const Payload p(to_bytes("abc"));
+  const Payload same(to_bytes("abc"));
+  EXPECT_NE(p.data(), same.data());
+  EXPECT_EQ(p, same);
+  EXPECT_EQ(p, to_bytes("abc"));
+  EXPECT_EQ(to_bytes("abc"), p);
+  EXPECT_NE(p, Payload(to_bytes("abd")));
+  EXPECT_NE(p, to_bytes("ab"));
+  EXPECT_NE(to_bytes("abcd"), p);
+}
+
+TEST(Payload, EmptyPayloads) {
+  const Payload none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.begin(), none.end());
+  EXPECT_EQ(none, Payload(Bytes{}));
+  EXPECT_EQ(none, Bytes{});
+  EXPECT_NE(none, to_bytes("x"));
+  EXPECT_TRUE(BytesView(none).empty());
+}
+
+TEST(Payload, ReadsLikeABuffer) {
+  const Bytes bytes = filler_bytes(100);
+  const Payload p(BytesView(bytes).subspan(10, 20));
+  ASSERT_EQ(p.size(), 20u);
+  EXPECT_EQ(p[0], bytes[10]);
+  EXPECT_EQ(p[19], bytes[29]);
+  EXPECT_TRUE(std::equal(p.begin(), p.end(), bytes.begin() + 10));
+  const BytesView view = p;
+  EXPECT_EQ(view.data(), p.data());
+  EXPECT_EQ(view.size(), 20u);
 }
 
 TEST(Ids, StrongTypesAreDistinct) {

@@ -35,12 +35,24 @@ deterministic simulator, where a rerun reproduces every number: each
 numeric metric of each compared bench must equal its recorded value, in
 either direction and whatever its name, and a metric present on only one
 side is a mismatch too.  `_thresholds` is ignored.
+
+The google-benchmark micro benches (micro_codec, micro_shared_state) run
+only when --benches names them.  Each runs every benchmark it holds
+MICRO_REPETITIONS times and records, per benchmark, the median and
+quartiles of the repetitions' CPU time in ns (e.g. BENCH_layers.json):
+
+    tools/bench/run_benches.py --benches micro_codec,micro_shared_state \
+        --out BENCH_layers.json
+
+Their numbers are wall-clock, so --compare prints them with their ratio
+and never fails on them.
 """
 
 import argparse
 import fnmatch
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -53,8 +65,14 @@ BENCHES = [
     "ablation_durability",
 ]
 
+# Google-benchmark binaries: informational wall-clock layer costs.
+MICROS = ["micro_codec", "micro_shared_state"]
+MICRO_REPETITIONS = 10
+
 # Reserved top-level baseline key holding per-metric thresholds, not metrics.
 THRESHOLDS_KEY = "_thresholds"
+
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def repo_root() -> str:
@@ -101,6 +119,56 @@ def run_bench(binary: str, timeout_s: int) -> dict:
             pass
 
 
+def run_micro(binary: str, timeout_s: int) -> dict:
+    proc = subprocess.run(
+        [binary, "--benchmark_format=json",
+         f"--benchmark_repetitions={MICRO_REPETITIONS}"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=timeout_s,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"{binary} exited with status {proc.returncode}")
+    return summarize_micro(json.loads(proc.stdout))
+
+
+def summarize_micro(report: dict) -> dict:
+    """Median and quartiles of each benchmark's per-repetition CPU time, in
+    ns, from a google-benchmark JSON report (aggregate rows are skipped)."""
+    samples = {}
+    for row in report.get("benchmarks", []):
+        if row.get("run_type", "iteration") != "iteration":
+            continue
+        ns = row["cpu_time"] * NS_PER_UNIT[row.get("time_unit", "ns")]
+        samples.setdefault(row.get("run_name", row["name"]), []).append(ns)
+    metrics = {}
+    for name, values in sorted(samples.items()):
+        if len(values) > 1:
+            q1, median, q3 = statistics.quantiles(values, n=4,
+                                                  method="inclusive")
+        else:
+            q1 = median = q3 = values[0]
+        metrics[f"{name}.median_ns"] = median
+        metrics[f"{name}.q1_ns"] = q1
+        metrics[f"{name}.q3_ns"] = q3
+        metrics[f"{name}.repetitions"] = len(values)
+    return metrics
+
+
+def report_micro(bench: str, old_metrics: dict, new_metrics: dict) -> None:
+    """Prints each median a micro bench shares with the baseline, with the
+    ratio new/old; never a failure."""
+    for key in sorted(set(old_metrics) & set(new_metrics)):
+        old, new = old_metrics[key], new_metrics[key]
+        if not key.endswith(".median_ns") or not is_number(old) or \
+                not is_number(new) or old <= 0:
+            continue
+        print(f"[compare] informational {bench}.{key}: {old:g} -> {new:g} "
+              f"({new / old:.2f}x)")
+
+
 def metric_direction(key: str) -> str | None:
     """'lower' / 'higher' when the key names a known-direction metric."""
     if "per_sec" in key or "speedup" in key:
@@ -138,6 +206,9 @@ def compare_metrics(
             print(f"[compare] {bench}: only in {side} — skipped")
             continue
         old_metrics, new_metrics = baseline[bench], fresh[bench]
+        if bench in MICROS:
+            report_micro(bench, old_metrics, new_metrics)
+            continue
         for key in sorted(set(old_metrics) | set(new_metrics)):
             if key not in old_metrics or key not in new_metrics:
                 print(f"[compare] {bench}.{key}: metric "
@@ -187,6 +258,9 @@ def compare_exact(baseline: dict, fresh: dict) -> int:
             print(f"[compare] {bench}: only in {side} — skipped")
             continue
         old_metrics, new_metrics = baseline[bench], fresh[bench]
+        if bench in MICROS:
+            report_micro(bench, old_metrics, new_metrics)
+            continue
         for key in sorted(set(old_metrics) | set(new_metrics)):
             old, new = old_metrics.get(key), new_metrics.get(key)
             if not is_number(old) and not is_number(new):
@@ -241,8 +315,8 @@ def main() -> int:
     parser.add_argument(
         "--benches",
         metavar="NAME[,NAME...]",
-        help="comma-separated subset of benches to run "
-        f"(default: {','.join(BENCHES)})",
+        help="comma-separated subset of benches to run, micro benches "
+        f"({','.join(MICROS)}) included (default: {','.join(BENCHES)})",
     )
     args = parser.parse_args()
     if args.exact and not args.compare:
@@ -251,11 +325,11 @@ def main() -> int:
     benches = BENCHES
     if args.benches:
         benches = [b.strip() for b in args.benches.split(",") if b.strip()]
-        unknown = [b for b in benches if b not in BENCHES]
+        unknown = [b for b in benches if b not in BENCHES + MICROS]
         if unknown:
             raise RuntimeError(
                 f"unknown bench(es): {', '.join(unknown)} "
-                f"(known: {', '.join(BENCHES)})"
+                f"(known: {', '.join(BENCHES + MICROS)})"
             )
 
     baseline = None
@@ -269,9 +343,12 @@ def main() -> int:
     for name in benches:
         binary = find_binary(args.build_dir, name)
         print(f"[run_benches] running {name} ...", flush=True)
-        result = run_bench(binary, args.timeout)
-        bench_key = result.get("bench", name)
-        metrics = {k: v for k, v in result.items() if k != "bench"}
+        if name in MICROS:
+            bench_key, metrics = name, run_micro(binary, args.timeout)
+        else:
+            result = run_bench(binary, args.timeout)
+            bench_key = result.get("bench", name)
+            metrics = {k: v for k, v in result.items() if k != "bench"}
         if not metrics:
             raise RuntimeError(f"{name} emitted an empty metrics object")
         merged[bench_key] = metrics

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for run_benches.py's pure logic: metric direction inference,
-fnmatch threshold resolution, and baseline comparison (thresholded and
---exact).
+fnmatch threshold resolution, baseline comparison (thresholded and
+--exact), and the micro benches' summary and informational compare.
 
 Run directly or via ctest (bench_driver_selftest).  Dependency-free; no
 bench binaries are executed.
@@ -167,6 +167,38 @@ class CompareExact(unittest.TestCase):
             {"b": {"label": "y", "flag": False}})
         self.assertEqual(n, 0)
         self.assertIn("other: only in baseline", out)
+
+
+class MicroBenches(unittest.TestCase):
+    @staticmethod
+    def row(name, cpu_time, unit="ns", run_type="iteration"):
+        return {"name": name, "run_name": name, "run_type": run_type,
+                "cpu_time": cpu_time, "time_unit": unit}
+
+    def test_median_and_quartiles_of_the_repetitions_in_ns(self):
+        report = {"benchmarks": [self.row("BM_A/1", t) for t in (5, 1, 4, 2, 3)]
+                  + [self.row("BM_A/1", 99.0, run_type="aggregate"),
+                     self.row("BM_B", 2.0, unit="us")]}
+        metrics = run_benches.summarize_micro(report)
+        self.assertEqual(metrics["BM_A/1.median_ns"], 3.0)
+        self.assertEqual(metrics["BM_A/1.q1_ns"], 2.0)
+        self.assertEqual(metrics["BM_A/1.q3_ns"], 4.0)
+        self.assertEqual(metrics["BM_A/1.repetitions"], 5)
+        self.assertEqual(metrics["BM_B.median_ns"], 2000.0)
+        self.assertEqual(metrics["BM_B.q3_ns"], 2000.0)
+
+    def test_micro_benches_are_printed_and_never_fail_a_compare(self):
+        baseline = {"micro_codec": {"BM_A.median_ns": 100.0, "BM_A.q1_ns": 1}}
+        fresh = {"micro_codec": {"BM_A.median_ns": 300.0, "BM_A.q1_ns": 2}}
+        for compare in (
+                lambda: run_benches.compare_metrics(baseline, fresh, 10.0, {}),
+                lambda: run_benches.compare_exact(baseline, fresh)):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                self.assertEqual(compare(), 0)
+            self.assertIn("informational micro_codec.BM_A.median_ns: "
+                          "100 -> 300 (3.00x)", buf.getvalue())
+            self.assertNotIn("q1_ns", buf.getvalue())
 
 
 if __name__ == "__main__":
