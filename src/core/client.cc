@@ -141,19 +141,15 @@ const SharedState* CoronaClient::group_state(GroupId g) const {
 
 std::vector<MemberInfo> CoronaClient::known_members(GroupId g) const {
   RecursiveMutexLock lock(mu_);
-  std::vector<MemberInfo> out;
   auto it = replicas_.find(g);
-  if (it == replicas_.end()) return out;
-  for (const auto& [node, role] : it->second.members) {
-    out.push_back(MemberInfo{node, role});
-  }
-  return out;
+  return it != replicas_.end() ? member_list(it->second.members)
+                               : std::vector<MemberInfo>{};
 }
 
 SeqNo CoronaClient::expected_seq(GroupId g) const {
   RecursiveMutexLock lock(mu_);
   auto it = replicas_.find(g);
-  return it != replicas_.end() ? it->second.next_expected : 0;
+  return it != replicas_.end() ? it->second.state.head_seq() + 1 : 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -184,6 +180,7 @@ void CoronaClient::on_timer(std::uint64_t tag) {
 // dispatch-ignore: kGetMembership kBcastState kBcastUpdate -- sent via make_*
 // dispatch-ignore: kLockRequest kLockRelease kReduceLog -- sent via make_*
 // dispatch-ignore: kHeartbeat -- sent via make_heartbeat, never received
+// dispatch-ignore: kRetransmitReq -- sent via GroupCopy::ask, never received
 // dispatch-ignore: kServerHello kFwdMulticast kSeqMulticast -- server tier
 // dispatch-ignore: kGroupOp kGroupOpResult kHeartbeatAck -- server tier
 // dispatch-ignore: kServerList kElectionClaim kElectionVote -- server tier
@@ -203,24 +200,13 @@ void CoronaClient::on_message(NodeId from, const Message& m) {
     case MsgType::kStateReply: handle_state_reply(m); break;
     case MsgType::kMembershipInfo: {
       auto it = replicas_.find(m.group);
-      if (it != replicas_.end()) {
-        it->second.members.clear();
-        for (const MemberInfo& mi : m.members) {
-          it->second.members.emplace(mi.node, mi.role);
-        }
-      }
+      if (it != replicas_.end()) it->second.set_members(m.members);
       if (cb_.on_membership_info) cb_.on_membership_info(m.group, m.members);
       break;
     }
     case MsgType::kMembershipNotice: {
       auto it = replicas_.find(m.group);
-      if (it != replicas_.end()) {
-        if (m.accept) {
-          it->second.members.emplace(m.sender, m.role);
-        } else {
-          it->second.members.erase(m.sender);
-        }
-      }
+      if (it != replicas_.end()) it->second.note(m);
       if (cb_.on_membership_change) {
         cb_.on_membership_change(m.group, m.sender, m.role, m.accept);
       }
@@ -267,18 +253,15 @@ void CoronaClient::handle_join_reply(const Message& m) {
     if (cb_.on_joined) cb_.on_joined(m.group, Status{m.status, m.text});
     return;
   }
-  Replica r;
-  r.state.load(m.seq, m.state, m.updates);
-  r.next_expected = r.state.head_seq() + 1;
-  for (const MemberInfo& mi : m.members) r.members.emplace(mi.node, mi.role);
-  replicas_[m.group] = std::move(r);
+  GroupCopy& copy = replicas_[m.group];
+  copy.reload(m);
+  copy.set_members(m.members);
   if (cb_.on_joined) cb_.on_joined(m.group, Status::ok());
 }
 
-void CoronaClient::apply_record(GroupId g, Replica& r,
+void CoronaClient::apply_record(GroupId g, GroupCopy& copy,
                                 const UpdateRecord& rec) {
-  r.state.apply(rec);
-  r.next_expected = rec.seq + 1;
+  copy.state.apply(rec);
   ++deliveries_received_;
   if (cb_.on_deliver) cb_.on_deliver(g, rec);
 }
@@ -286,54 +269,32 @@ void CoronaClient::apply_record(GroupId g, Replica& r,
 void CoronaClient::handle_deliver(const Message& m) {
   auto it = replicas_.find(m.group);
   if (it == replicas_.end()) return;  // left the group; stale delivery
-  Replica& r = it->second;
-
-  UpdateRecord rec;
-  rec.seq = m.seq;
-  rec.kind = m.kind;
-  rec.object = m.object;
-  rec.data = m.payload;
-  rec.sender = m.sender;
-  rec.timestamp = m.timestamp;
-  rec.request_id = m.request_id;
-
-  if (rec.seq < r.next_expected) return;  // duplicate
-  if (rec.seq > r.next_expected && config_.gap_detection) {
-    ++gaps_detected_;
-    if (!r.awaiting_retransmit) {
-      r.awaiting_retransmit = true;
-      Message req;
-      req.type = MsgType::kRetransmitReq;
-      req.group = m.group;
-      req.seq = r.next_expected;
-      req.seq2 = rec.seq;  // the gap ends where this delivery begins
-      send(server_, req);
-    }
-    // The out-of-order record itself is recovered by the retransmit reply
-    // (its range is inclusive of rec.seq? no: seq2 = rec.seq - 1 suffices,
-    // so apply rec after the gap fills).  Buffering one record keeps the
-    // protocol simple: re-request includes rec.seq as well and we drop it
-    // here; the server resends it.
-    return;
+  GroupCopy& copy = it->second;
+  switch (copy.place(m.seq)) {
+    case GroupCopy::Place::kStale: return;  // duplicate
+    case GroupCopy::Place::kAhead:
+      if (!config_.gap_detection) break;  // test hook: apply it anyway
+      ++gaps_detected_;
+      // The record is dropped here: the fill's range ends with it, so it is
+      // applied in order once the gap before it is filled.
+      if (std::optional<Message> req = copy.ask(m.group, m.seq, now())) {
+        send(server_, *req);
+      }
+      return;
+    case GroupCopy::Place::kApply: break;
   }
-  apply_record(m.group, r, rec);
+  apply_record(m.group, copy, record_of(m));
 }
 
 void CoronaClient::handle_state_reply(const Message& m) {
   auto it = replicas_.find(m.group);
-  if (it == replicas_.end()) return;
-  Replica& r = it->second;
-  r.awaiting_retransmit = false;
-  if (!m.state.empty()) {
-    // The gap was reduced away server-side: reload from the snapshot.
-    r.state.load(m.seq, m.state);
-    r.next_expected = m.seq + 1;
-    return;
-  }
+  if (it == replicas_.end() || it->second.fill(m)) return;
   for (const UpdateRecord& u : m.updates) {
-    if (u.seq == r.next_expected) {
-      apply_record(m.group, r, u);
-    }
+    if (it->second.place(u.seq) != GroupCopy::Place::kApply) continue;
+    apply_record(m.group, it->second, u);
+    // on_deliver may have left the group, which erases its copy.
+    it = replicas_.find(m.group);
+    if (it == replicas_.end()) return;
   }
 }
 

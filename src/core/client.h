@@ -27,10 +27,9 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
-#include "core/shared_state.h"
+#include "core/state_transfer.h"
 #include "runtime/runtime.h"
 #include "serial/message.h"
 #include "util/context.h"
@@ -123,7 +122,7 @@ class CoronaClient : public Node {
   const SharedState* group_state(GroupId g) const;
   // Last known membership (from the join reply / notices / queries).
   std::vector<MemberInfo> known_members(GroupId g) const;
-  // Next expected sequence number for `g`.
+  // Next expected sequence number for `g`: the replica's head + 1.
   SeqNo expected_seq(GroupId g) const;
   std::uint64_t deliveries_received() const {
     RecursiveMutexLock lock(mu_);
@@ -139,13 +138,6 @@ class CoronaClient : public Node {
   void on_timer(std::uint64_t tag) override;
 
  private:
-  struct Replica {
-    SharedState state;
-    std::map<NodeId, MemberRole> members;
-    SeqNo next_expected = 1;
-    bool awaiting_retransmit = false;
-  };
-
   RequestId next_request() CORONA_REQUIRES(mu_) { return next_request_id_++; }
   RequestId bcast(PayloadKind kind, GroupId g, ObjectId obj, Payload payload,
                   bool sender_inclusive);
@@ -155,7 +147,7 @@ class CoronaClient : public Node {
   void handle_join_reply(const Message& m) CORONA_REQUIRES(mu_);
   void handle_deliver(const Message& m) CORONA_REQUIRES(mu_);
   void handle_state_reply(const Message& m) CORONA_REQUIRES(mu_);
-  void apply_record(GroupId g, Replica& r, const UpdateRecord& rec)
+  void apply_record(GroupId g, GroupCopy& copy, const UpdateRecord& rec)
       CORONA_REQUIRES(mu_);
 
   mutable RecursiveMutex mu_;
@@ -163,7 +155,7 @@ class CoronaClient : public Node {
   Callbacks cb_ CORONA_GUARDED_BY(mu_);
   Config config_;  // set at construction only, read-only afterwards
   RequestId next_request_id_ CORONA_GUARDED_BY(mu_) = 1;
-  std::map<GroupId, Replica> replicas_ CORONA_GUARDED_BY(mu_);
+  std::map<GroupId, GroupCopy> replicas_ CORONA_GUARDED_BY(mu_);
   // Resend buffer: this client's own recent multicasts, per group.
   std::map<GroupId, std::deque<UpdateRecord>> recent_sends_
       CORONA_GUARDED_BY(mu_);

@@ -1,6 +1,7 @@
 #include "core/server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <utility>
 
@@ -26,13 +27,14 @@ struct CoronaServer::Direct final : GroupAuthority::Route {
 CoronaServer::CoronaServer(ServerConfig config, GroupStore* store,
                            SessionManager* session_manager)
     : config_(std::move(config)),
-      owned_store_(store == nullptr ? std::make_unique<GroupStore>() : nullptr),
-      store_(store != nullptr ? store : owned_store_.get()),
+      store_(store),
       session_(session_manager),
       authority_(store_, config_.reduction_factory),
       qos_(config_.qos),
       outbox_(config_.batch_max_msgs, config_.batch_max_delay, kBatchTimer,
-               config_.debug_drop_batch_tail) {}
+               config_.debug_drop_batch_tail) {
+  assert(store_ != nullptr);
+}
 
 CoronaServer::~CoronaServer() = default;
 
@@ -337,13 +339,9 @@ void CoronaServer::handle_bcast(NodeId from, const Message& m) {
     return;
   }
 
-  UpdateRecord rec;
-  rec.kind = m.kind;
-  rec.object = m.object;
-  rec.data = m.payload;
+  UpdateRecord rec = record_of(m);
   rec.sender = from;
   rec.timestamp = now();  // server-side real-time stamping (§3.2)
-  rec.request_id = m.request_id;
 
   // The record is stamped now (arrival) and sequenced at the next drain in
   // arrival order, so every batch size delivers the same bytes.

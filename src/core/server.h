@@ -146,11 +146,10 @@ struct ServerStats {
 
 class CoronaServer : public Node {
  public:
-  // `store` is the server's "disk": it must outlive the server object so a
-  // fresh CoronaServer can be constructed over it after a crash (the sim
-  // models a machine whose disk survives process failure).  Pass nullptr for
-  // a throwaway in-process store.  `session_manager` may be nullptr (allow
-  // all).
+  // `store` is the server's "disk" and must not be null: it must outlive the
+  // server object so a fresh CoronaServer can be constructed over it after a
+  // crash (the sim models a machine whose disk survives process failure).
+  // `session_manager` may be nullptr (allow all).
   CoronaServer(ServerConfig config, GroupStore* store,
                SessionManager* session_manager = nullptr);
   ~CoronaServer() override;
@@ -160,7 +159,6 @@ class CoronaServer : public Node {
   void on_timer(std::uint64_t tag) override;
 
   const ServerStats& stats() const { return stats_; }
-  GroupStore& store() { return *store_; }
   bool has_group(GroupId g) const { return authority_.lookup(g) != nullptr; }
   const Group* group(GroupId g) const { return authority_.lookup(g); }
   std::size_t group_count() const { return authority_.groups().size(); }
@@ -211,7 +209,6 @@ class CoronaServer : public Node {
   void process(NodeId from, const Message& m);  // post-QoS dispatch
 
   ServerConfig config_;
-  std::unique_ptr<GroupStore> owned_store_;  // when no store is passed in
   GroupStore* store_;
   SessionManager* session_;  // nullptr allows all
   GroupAuthority authority_;

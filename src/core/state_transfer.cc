@@ -105,11 +105,6 @@ Message make_full_copy(const GroupMeta& meta, const SharedState& state,
   return m;
 }
 
-GroupMeta install_full_copy(const Message& copy, SharedState& state) {
-  state.load(copy.seq, copy.state, copy.updates);
-  return GroupMeta{copy.group, copy.text, copy.persistent};
-}
-
 Group restore_full_copy(const Message& copy) {
   Group group(GroupMeta{copy.group, copy.text, copy.persistent});
   group.restore(copy.seq, copy.state, copy.updates);
@@ -158,6 +153,50 @@ std::vector<UpdateRecord> own_records(std::vector<UpdateRecord> records,
   std::erase_if(records,
                 [client](const UpdateRecord& u) { return !(u.sender == client); });
   return records;
+}
+
+GroupCopy::Place GroupCopy::place(SeqNo seq) const {
+  const SeqNo next = state.head_seq() + 1;
+  if (seq < next) return Place::kStale;
+  return seq == next ? Place::kApply : Place::kAhead;
+}
+
+std::optional<Message> GroupCopy::ask(GroupId g, SeqNo upto, TimePoint now) {
+  if (asked_ && now - *asked_ < kFillRetry) return std::nullopt;
+  asked_ = now;
+  Message req;
+  req.type = MsgType::kRetransmitReq;
+  req.group = g;
+  req.seq = state.head_seq() + 1;
+  req.seq2 = upto;
+  return req;
+}
+
+bool GroupCopy::fill(const Message& m) {
+  if (m.state.empty()) {
+    asked_.reset();
+    return false;
+  }
+  reload(m);
+  return true;
+}
+
+void GroupCopy::reload(const Message& m) {
+  state.load(m.seq, m.state, m.updates);
+  asked_.reset();
+}
+
+void GroupCopy::set_members(const std::vector<MemberInfo>& list) {
+  members.clear();
+  for (const MemberInfo& mi : list) members[mi.node] = mi.role;
+}
+
+void GroupCopy::note(const Message& notice) {
+  if (notice.accept) {
+    members[notice.sender] = notice.role;
+  } else {
+    members.erase(notice.sender);
+  }
 }
 
 }  // namespace corona

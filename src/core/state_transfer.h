@@ -15,9 +15,13 @@
 // the head, which a member reloads wholesale.  The full copy is what a
 // server installs: metadata, the snapshot at base_seq, the retained history
 // (a leaf copy serves last-n joins from it) and the member list.
+//
+// GroupCopy is the side that takes these replies: a member's replica and a
+// leaf server's copy follow the sequenced stream through it.
 #pragma once
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "core/group.h"
@@ -50,9 +54,6 @@ std::vector<MemberInfo> member_list(const std::map<NodeId, MemberRole>& roles);
 Message make_member_resync(GroupId g, RequestId rid, const SharedState& state);
 Message make_full_copy(const GroupMeta& meta, const SharedState& state,
                        std::vector<MemberInfo> members, RequestId rid = 0);
-// Loads a full copy into `state` and returns its metadata; the member list
-// is left to the caller, since only a leaf's fresh copy reads it.
-GroupMeta install_full_copy(const Message& copy, SharedState& state);
 // Rebuilds a coordinator's group from a full copy.  Its membership comes
 // back separately, from the leaves' re-registrations.
 Group restore_full_copy(const Message& copy);
@@ -70,5 +71,41 @@ Message make_gap_fill(const Message& req, const Group& group);
 // `client` as their sender and drops the forged rest.
 std::vector<UpdateRecord> own_records(std::vector<UpdateRecord> records,
                                       NodeId client);
+
+// A follower's copy of a group (§3.1, §4.1): a member's replica, or a leaf
+// server's copy.  It applies the sequencer's records in order: the next
+// expected seq is always state.head_seq() + 1.  A record ahead of it opens
+// one gap ask (kRetransmitReq); the ask stays open until a fill or a reload
+// arrives, and a record ahead that arrives kFillRetry after the open ask
+// asks again, since the fill may have been lost with its connection or with
+// the server that was asked.
+class GroupCopy {
+ public:
+  enum class Place { kApply, kStale, kAhead };
+  static constexpr Duration kFillRetry = 1 * kSecond;
+
+  SharedState state;
+  std::map<NodeId, MemberRole> members;  // the group's, as last heard
+
+  Place place(SeqNo seq) const;
+  // The ask for [head + 1, upto], or nothing while an ask younger than
+  // kFillRetry is open.
+  std::optional<Message> ask(GroupId g, SeqNo upto, TimePoint now);
+  // Takes a kStateReply and closes the open ask.  A snapshot (a gap reduced
+  // away, a member resync) reloads the copy and returns true.  A record fill
+  // returns false: the caller then applies, in order, each record of
+  // m.updates that place() finds kApply.
+  bool fill(const Message& m);
+  // Loads m.seq, m.state and m.updates and closes the open ask; `members`
+  // is kept.
+  void reload(const Message& m);
+  void set_members(const std::vector<MemberInfo>& list);
+  // A kMembershipNotice: a joined member is added (or its role updated), a
+  // departed one removed.
+  void note(const Message& notice);
+
+ private:
+  std::optional<TimePoint> asked_;  // when the open gap ask went out
+};
 
 }  // namespace corona

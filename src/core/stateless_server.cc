@@ -71,14 +71,10 @@ void StatelessServer::handle_bcast(NodeId from, const Message& m) {
     send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
     return;
   }
-  UpdateRecord rec;
+  UpdateRecord rec = record_of(m);
   rec.seq = it->second.next_seq++;
-  rec.kind = m.kind;
-  rec.object = m.object;
-  rec.data = m.payload;
   rec.sender = from;
   rec.timestamp = now();
-  rec.request_id = m.request_id;
   ++stats_.messages_sequenced;
   const Message out = make_deliver(m.group, rec);
   for (const auto& [member, role] : it->second.members) {

@@ -71,8 +71,8 @@ void ReplicaServer::become_coordinator(std::uint64_t term) {
     // so client recovery resends of already-sequenced updates are not
     // applied twice.
     Group cg(lg.meta);
-    cg.restore(lg.state.base_seq(), lg.state.snapshot_at_base(),
-               lg.state.history());
+    cg.restore(lg.copy.state.base_seq(), lg.copy.state.snapshot_at_base(),
+               lg.copy.state.history());
     authority_.install(std::move(cg));
     repl_.add_backup(g, id());
     reregister_members(g, lg);
@@ -166,13 +166,8 @@ void ReplicaServer::coord_handle_fwd_multicast(NodeId from, const Message& m) {
                 make_reply(Status::error(Errc::kNotMember), m.request_id));
     return;
   }
-  UpdateRecord rec;
-  rec.kind = m.kind;
-  rec.object = m.object;
-  rec.data = m.payload;
-  rec.sender = m.sender;
+  UpdateRecord rec = record_of(m);
   rec.timestamp = now();  // sequencer timestamping
-  rec.request_id = m.request_id;
   coord_sequence(*cg, std::move(rec), m.sender_inclusive);
 }
 
@@ -577,10 +572,8 @@ void ReplicaServer::coord_push_group_state(GroupId g) {
   }
   // The other coordinator reloads too and relays to its own holders.
   if (reconcile_.active) send(reconcile_.other, push);
-  // This node's own leaf copy.
-  if (auto it = local_.find(g); it != local_.end()) {
-    leaf_reload(it->second, push);
-  }
+  // This node's own leaf copy reloads as every holder's does.
+  leaf_handle_state_reply(push);
 }
 
 void ReplicaServer::coord_handle_push(NodeId from, const Message& m) {
@@ -600,9 +593,7 @@ void ReplicaServer::coord_handle_push(NodeId from, const Message& m) {
   for (NodeId holder : repl_.holders(m.group)) {
     if (!(holder == id()) && !(holder == from)) send(holder, m);
   }
-  if (auto it = local_.find(m.group); it != local_.end()) {
-    leaf_reload(it->second, m);
-  }
+  leaf_handle_state_reply(m);
 }
 
 void ReplicaServer::coord_finish_reconcile() {

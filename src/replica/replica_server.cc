@@ -43,7 +43,7 @@ std::vector<GroupHead> ReplicaServer::local_group_heads() const {
   std::vector<GroupHead> heads;
   heads.reserve(local_.size());
   for (const auto& [g, lg] : local_) {
-    heads.push_back(GroupHead{g, lg.state.head_seq()});
+    heads.push_back(GroupHead{g, lg.copy.state.head_seq()});
   }
   return heads;
 }
@@ -87,7 +87,7 @@ void ReplicaServer::reregister_members(GroupId g, const LocalGroup& lg) {
 
 const SharedState* ReplicaServer::local_state(GroupId g) const {
   auto it = local_.find(g);
-  return it != local_.end() ? &it->second.state : nullptr;
+  return it != local_.end() ? &it->second.copy.state : nullptr;
 }
 
 const SharedState* ReplicaServer::coord_state(GroupId g) const {
@@ -140,7 +140,7 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
         break;
       }
       send(from, make_membership_info(m.group, m.request_id,
-                                      member_list(it->second.global_members)));
+                                      member_list(it->second.copy.members)));
       break;
     }
     case MsgType::kRetransmitReq: {
@@ -155,7 +155,7 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
         send(from, make_reply(Status::error(Errc::kNotMember), m.request_id));
         break;
       }
-      send(from, make_gap_fill(m, it->second.state));
+      send(from, make_gap_fill(m, it->second.copy.state));
       break;
     }
     case MsgType::kResendReply: {
@@ -196,8 +196,8 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
       } else if (local_.contains(m.group)) {
         // Takeover pull served from a leaf copy.
         const LocalGroup& lg = local_.at(m.group);
-        send(from, make_full_copy(lg.meta, lg.state,
-                                  member_list(lg.global_members),
+        send(from, make_full_copy(lg.meta, lg.copy.state,
+                                  member_list(lg.copy.members),
                                   m.request_id));
       } else {
         send(from, make_refusal(MsgType::kStateReply, m.group, m.request_id,
@@ -215,7 +215,7 @@ void ReplicaServer::on_message(NodeId from, const Message& m) {
       } else {
         // Leaf-side install / gap fill — also on a coordinator that serves
         // local clients of its own.
-        leaf_handle_state_reply(from, m);
+        leaf_handle_state_reply(m);
       }
       break;
     }
@@ -344,13 +344,13 @@ void ReplicaServer::leaf_serve_join(LocalGroup& lg, NodeId client,
     return;
   }
   lg.local_members[client] = LocalMember{m.role, m.notify_membership};
-  lg.global_members[client] = m.role;
+  lg.copy.members[client] = m.role;
 
   // Local-first join (§4.1): served entirely from the leaf's copy, without
   // involving the existing members or waiting for the coordinator.
   send(client, make_join_reply(m.group, m.request_id,
-                               build_transfer(lg.state, m.policy),
-                               member_list(lg.global_members)));
+                               build_transfer(lg.copy.state, m.policy),
+                               member_list(lg.copy.members)));
 
   forward_group_op(client, m);
 }
@@ -371,7 +371,7 @@ void ReplicaServer::leaf_handle_leave(NodeId from, const Message& m) {
     return;
   }
   it->second.local_members.erase(from);
-  it->second.global_members.erase(from);
+  it->second.copy.members.erase(from);
   send(from, make_reply(Status::ok(), m.request_id));
   forward_group_op(from, m);
 }
@@ -400,30 +400,17 @@ void ReplicaServer::leaf_handle_seq_multicast(const Message& m) {
   if (it == local_.end()) return;  // copy released; stale fan-out
   LocalGroup& lg = it->second;
 
-  UpdateRecord rec;
-  rec.seq = m.seq;
-  rec.kind = m.kind;
-  rec.object = m.object;
-  rec.data = m.payload;
-  rec.sender = m.sender;
-  rec.timestamp = m.timestamp;
-  rec.request_id = m.request_id;
-
-  const SeqNo expected = lg.state.head_seq() + 1;
-  if (rec.seq < expected) return;  // duplicate
-  if (rec.seq > expected) {
-    if (!lg.awaiting_fill) {
-      lg.awaiting_fill = true;
-      Message req;
-      req.type = MsgType::kRetransmitReq;
-      req.group = m.group;
-      req.seq = expected;
-      req.seq2 = rec.seq;
-      req.origin_server = id();
-      send(coordinator_, req);
-    }
-    return;
+  switch (lg.copy.place(m.seq)) {
+    case GroupCopy::Place::kStale: return;  // duplicate
+    case GroupCopy::Place::kAhead:
+      if (std::optional<Message> req = lg.copy.ask(m.group, m.seq, now())) {
+        req->origin_server = id();
+        send(coordinator_, *req);
+      }
+      return;
+    case GroupCopy::Place::kApply: break;
   }
+  const UpdateRecord rec = record_of(m);
   rt().charge_cpu(id(), apply_cpu_cost(rec));
   leaf_apply_and_fanout(lg, rec, m.sender_inclusive, m.sender);
 }
@@ -434,7 +421,7 @@ void ReplicaServer::leaf_apply_and_fanout(LocalGroup& lg,
                                           NodeId origin) {
   // The record is applied immediately (ordering and gap detection are
   // per-message); only the kDeliver frames coalesce, one run per client.
-  lg.state.apply(rec);
+  lg.copy.state.apply(rec);
   std::vector<NodeId> recipients;
   recipients.reserve(lg.local_members.size());
   for (const auto& [member, info] : lg.local_members) {
@@ -451,19 +438,7 @@ void ReplicaServer::leaf_apply_and_fanout(LocalGroup& lg,
 // Leaf: state replies (installs, gap fills, authoritative pushes)
 // ---------------------------------------------------------------------------
 
-void ReplicaServer::leaf_reload(LocalGroup& lg, const Message& m) {
-  lg.meta = install_full_copy(m, lg.state);
-  lg.awaiting_fill = false;
-  // Queued deliveries must not arrive after a snapshot that supersedes them.
-  stats_.fanout_batch_frames += to_clients_.ship(*this);
-  const Message push = make_member_resync(lg.meta.id, 0, lg.state);
-  for (const auto& [member, info] : lg.local_members) {
-    send(member, push);
-  }
-}
-
-void ReplicaServer::leaf_handle_state_reply(NodeId from, const Message& m) {
-  (void)from;
+void ReplicaServer::leaf_handle_state_reply(const Message& m) {
   const GroupId g = m.group;
 
   if (m.status != Errc::kOk) {
@@ -481,19 +456,16 @@ void ReplicaServer::leaf_handle_state_reply(NodeId from, const Message& m) {
   }
 
   auto it = local_.find(g);
-  if (m.accept) {
-    // Authoritative push (partition reconciliation).
-    if (it != local_.end()) leaf_reload(it->second, m);
-    return;
-  }
   if (it == local_.end()) {
+    if (m.accept) return;  // a push for a copy this leaf does not hold
     // Fresh install for pending joins / backup assignment.  The copy's
     // member list is the leaf's global view: notices for members that
     // joined before the copy arrived were dropped here.
     awaiting_state_.erase(g);
     LocalGroup& lg = local_[g];
-    lg.meta = install_full_copy(m, lg.state);
-    for (const MemberInfo& mi : m.members) lg.global_members[mi.node] = mi.role;
+    lg.meta = GroupMeta{g, m.text, m.persistent};
+    lg.copy.reload(m);
+    lg.copy.set_members(m.members);
     auto pit = pending_joins_.find(g);
     if (pit != pending_joins_.end()) {
       auto joins = std::move(pit->second);
@@ -503,18 +475,26 @@ void ReplicaServer::leaf_handle_state_reply(NodeId from, const Message& m) {
     return;
   }
 
-  // Gap fill: apply the missing records in order and fan them out.
   LocalGroup& lg = it->second;
-  lg.awaiting_fill = false;
-  if (!m.state.empty()) {
-    // The gap was reduced away at the coordinator; reload wholesale.
-    leaf_reload(lg, m);
+  if (m.accept) {
+    lg.copy.reload(m);  // authoritative push (partition reconciliation)
+  } else if (!lg.copy.fill(m)) {
+    // Gap fill: apply the missing records in order and fan them out.
+    for (const UpdateRecord& u : m.updates) {
+      if (lg.copy.place(u.seq) == GroupCopy::Place::kApply) {
+        leaf_apply_and_fanout(lg, u, /*sender_inclusive=*/true, u.sender);
+      }
+    }
     return;
   }
-  for (const UpdateRecord& u : m.updates) {
-    if (u.seq == lg.state.head_seq() + 1) {
-      leaf_apply_and_fanout(lg, u, /*sender_inclusive=*/true, u.sender);
-    }
+  // The copy was replaced wholesale, by a push or by a gap fill whose range
+  // was reduced away at the coordinator; its members keep their place.
+  // Queued deliveries must not arrive after a snapshot that supersedes them.
+  lg.meta = GroupMeta{g, m.text, m.persistent};
+  stats_.fanout_batch_frames += to_clients_.ship(*this);
+  const Message push = make_member_resync(g, 0, lg.copy.state);
+  for (const auto& [member, info] : lg.local_members) {
+    send(member, push);
   }
 }
 
@@ -526,11 +506,7 @@ void ReplicaServer::leaf_handle_notice(const Message& m) {
   auto it = local_.find(m.group);
   if (it == local_.end()) return;
   LocalGroup& lg = it->second;
-  if (m.accept) {
-    lg.global_members[m.sender] = m.role;
-  } else {
-    lg.global_members.erase(m.sender);
-  }
+  lg.copy.note(m);
   for (const auto& [member, info] : lg.local_members) {
     if (info.notify && !(member == m.sender)) send(member, m);
   }
@@ -552,7 +528,7 @@ void ReplicaServer::leaf_handle_group_deleted(const Message& m) {
 
 void ReplicaServer::leaf_handle_log_reduced(const Message& m) {
   auto it = local_.find(m.group);
-  if (it != local_.end()) it->second.state.reduce_to(m.seq);
+  if (it != local_.end()) it->second.copy.state.reduce_to(m.seq);
 }
 
 // ---------------------------------------------------------------------------

@@ -149,10 +149,8 @@ class ReplicaServer : public Node {
   };
   struct LocalGroup {
     GroupMeta meta;
-    SharedState state;
     std::map<NodeId, LocalMember> local_members;
-    std::map<NodeId, MemberRole> global_members;
-    bool awaiting_fill = false;  // retransmit in flight for a seq gap
+    GroupCopy copy;  // the state and the group's global membership
   };
 
   void become_coordinator(std::uint64_t term);
@@ -172,10 +170,9 @@ class ReplicaServer : public Node {
                                              const UpdateRecord& rec,
                                              bool sender_inclusive,
                                              NodeId origin);
-  void leaf_handle_state_reply(NodeId from, const Message& m);
-  // Replaces a held copy with a full copy, keeping its members, and
-  // resynchronizes them with the member resync.
-  void leaf_reload(LocalGroup& lg, const Message& m);
+  // Fresh installs, gap fills and authoritative pushes; a copy replaced
+  // wholesale resynchronizes its local members with the member resync.
+  void leaf_handle_state_reply(const Message& m);
   void leaf_handle_notice(const Message& m);
   void leaf_handle_group_deleted(const Message& m);
   void leaf_handle_log_reduced(const Message& m);

@@ -224,6 +224,18 @@ Message make_reduce_log(GroupId g, SeqNo upto, RequestId rid);
 
 Message make_reply(Status s, RequestId rid);
 Message make_deliver(GroupId g, const UpdateRecord& rec);
+// The record a sequenced message carries: the inverse of make_deliver.
+// Inline, because every delivery a member or a leaf applies goes through it.
+// heat: waive copy-in-hot-path -- returned by value (NRVO), shares payload
+inline UpdateRecord record_of(const Message& m) {
+  return UpdateRecord{.seq = m.seq,
+                      .kind = m.kind,
+                      .object = m.object,
+                      .data = m.payload,
+                      .sender = m.sender,
+                      .timestamp = m.timestamp,
+                      .request_id = m.request_id};
+}
 
 Message make_heartbeat(std::uint64_t epoch);
 Message make_heartbeat_ack(std::uint64_t epoch);

@@ -1,7 +1,11 @@
 // Unit tests for the smaller core components: locks, session manager,
-// state-transfer policies, log-reduction policies, group bookkeeping, and
-// the QoS scheduler.
+// state-transfer policies, a follower's group copy, log-reduction policies,
+// group bookkeeping, and the QoS scheduler.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/group.h"
 #include "core/locks.h"
@@ -225,6 +229,138 @@ TEST_F(TransferFixture, TotalBytesAccounts) {
   const auto full = build_transfer(state, TransferPolicySpec::full());
   const auto last1 = build_transfer(state, TransferPolicySpec::last_n_updates(1));
   EXPECT_GT(full.total_bytes(), last1.total_bytes());
+}
+
+// ---------------------------------------------------------------------------
+// GroupCopy
+// ---------------------------------------------------------------------------
+
+UpdateRecord append(SeqNo seq, const std::string& text) {
+  UpdateRecord u;
+  u.seq = seq;
+  u.object = ObjectId{1};
+  u.data = to_bytes(text);
+  u.sender = NodeId{100};
+  u.request_id = seq;
+  return u;
+}
+
+// A copy that has applied records 1 and 2.
+GroupCopy copy_at_two() {
+  GroupCopy c;
+  c.state.apply(append(1, "a"));
+  c.state.apply(append(2, "b"));
+  return c;
+}
+
+Message state_reply() {
+  Message m;
+  m.type = MsgType::kStateReply;
+  m.group = GroupId{1};
+  return m;
+}
+
+TEST(GroupCopy, PlacesStaleNextAndAheadSeqs) {
+  const GroupCopy c = copy_at_two();
+  EXPECT_EQ(c.place(1), GroupCopy::Place::kStale);
+  EXPECT_EQ(c.place(2), GroupCopy::Place::kStale);
+  EXPECT_EQ(c.place(3), GroupCopy::Place::kApply);
+  EXPECT_EQ(c.place(4), GroupCopy::Place::kAhead);
+}
+
+TEST(GroupCopy, AsksOncePerGapAndAgainOnlyAfterTheRetry) {
+  GroupCopy c = copy_at_two();
+  const GroupId g{7};
+  const std::optional<Message> first = c.ask(g, 5, 0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->type, MsgType::kRetransmitReq);
+  EXPECT_EQ(first->group, g);
+  EXPECT_EQ(first->seq, 3u);
+  EXPECT_EQ(first->seq2, 5u);
+  // While the fill may still be on its way, later records ahead ask nothing.
+  EXPECT_FALSE(c.ask(g, 6, 1).has_value());
+  EXPECT_FALSE(c.ask(g, 7, GroupCopy::kFillRetry - 1).has_value());
+  // After kFillRetry the fill counts as lost and the copy asks again.
+  const std::optional<Message> again = c.ask(g, 8, GroupCopy::kFillRetry);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->seq, 3u);
+  EXPECT_EQ(again->seq2, 8u);
+  EXPECT_FALSE(c.ask(g, 9, GroupCopy::kFillRetry + 1).has_value());
+}
+
+TEST(GroupCopy, RecordFillAppliesOnlyRecordsThatExtendTheCopy) {
+  GroupCopy c = copy_at_two();
+  ASSERT_TRUE(c.ask(GroupId{1}, 6, 0).has_value());
+  Message fill = state_reply();
+  fill.updates = {append(2, "b"), append(3, "c"), append(4, "d"),
+                  append(6, "f")};
+  // A record fill leaves the applying to its caller, which follows place().
+  EXPECT_FALSE(c.fill(fill));
+  EXPECT_EQ(c.state.head_seq(), 2u);
+  std::vector<SeqNo> applied;
+  for (const UpdateRecord& u : fill.updates) {
+    if (c.place(u.seq) != GroupCopy::Place::kApply) continue;
+    applied.push_back(u.seq);
+    c.state.apply(u);
+  }
+  EXPECT_EQ(applied, (std::vector<SeqNo>{3, 4}));
+  EXPECT_EQ(to_string(*c.state.object(ObjectId{1})), "abcd");
+  // The fill closed the ask: the gap left before 6 is asked for at once.
+  const std::optional<Message> next = c.ask(GroupId{1}, 6, 1);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->seq, 5u);
+}
+
+TEST(GroupCopy, SnapshotFillReloadsAndClosesTheAsk) {
+  GroupCopy c = copy_at_two();
+  ASSERT_TRUE(c.ask(GroupId{1}, 9, 0).has_value());
+  Message fill = state_reply();
+  fill.seq = 8;
+  fill.state = {StateEntry{ObjectId{1}, to_bytes("abcdefgh")}};
+  EXPECT_TRUE(c.fill(fill));
+  EXPECT_EQ(c.state.head_seq(), 8u);
+  EXPECT_EQ(c.place(9), GroupCopy::Place::kApply);
+  EXPECT_EQ(to_string(*c.state.object(ObjectId{1})), "abcdefgh");
+  EXPECT_TRUE(c.ask(GroupId{1}, 10, 1).has_value());
+}
+
+TEST(GroupCopy, ReloadKeepsMembers) {
+  GroupCopy c = copy_at_two();
+  const std::vector<MemberInfo> members = {
+      MemberInfo{NodeId{100}, MemberRole::kPrincipal},
+      MemberInfo{NodeId{101}, MemberRole::kObserver}};
+  c.set_members(members);
+  Message copy = state_reply();
+  copy.seq = 4;
+  copy.state = {StateEntry{ObjectId{1}, to_bytes("abcd")}};
+  copy.updates = {append(5, "e")};
+  copy.members = {MemberInfo{NodeId{200}, MemberRole::kPrincipal}};
+  c.reload(copy);
+  EXPECT_EQ(c.state.base_seq(), 4u);
+  EXPECT_EQ(c.state.head_seq(), 5u);
+  EXPECT_EQ(to_string(*c.state.object(ObjectId{1})), "abcde");
+  EXPECT_EQ(member_list(c.members), members);
+}
+
+TEST(GroupCopy, NoteAddsUpdatesAndRemovesMembers) {
+  GroupCopy c;
+  Message notice;
+  notice.type = MsgType::kMembershipNotice;
+  notice.accept = true;
+  notice.sender = NodeId{100};
+  c.note(notice);
+  notice.sender = NodeId{101};
+  notice.role = MemberRole::kObserver;
+  c.note(notice);
+  EXPECT_EQ(c.members.size(), 2u);
+  // A notice for a member already listed updates its role.
+  notice.sender = NodeId{100};
+  c.note(notice);
+  EXPECT_EQ(c.members.at(NodeId{100}), MemberRole::kObserver);
+  notice.accept = false;
+  c.note(notice);
+  EXPECT_FALSE(c.members.contains(NodeId{100}));
+  EXPECT_EQ(c.members.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

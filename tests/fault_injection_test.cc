@@ -1,8 +1,11 @@
 // Fault-injection tests: selective message loss via the SimRuntime drop
 // filter exercises the retransmission paths that a clean network never
 // touches — client gap detection (§3's reliability guarantee), leaf-side
-// gap fill in the replicated service, and the IP-multicast delivery path.
+// gap fill in the replicated service, a lost gap fill on either role, and
+// the IP-multicast delivery path.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "harness.h"
 #include "util/rng.h"
@@ -117,6 +120,125 @@ TEST(FaultInjection, LeafGapFillInReplicatedService) {
   const SharedState* st = w.client(1).group_state(kG);
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(to_string(*st->object(kObj)), "a;b;");
+}
+
+// A gap fill lost in transit must not stall a copy: a record ahead that
+// arrives GroupCopy::kFillRetry after the open ask asks again.
+TEST(FaultInjection, ClientRecoversALostGapFill) {
+  SingleServerWorld w(2);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.client(1).join(kG);
+  w.settle();
+
+  // Lose the first delivery to client 1 and the gap fill it asks for.
+  bool lost_deliver = false;
+  bool lost_fill = false;
+  w.rt.set_drop_filter([&](NodeId, NodeId to, const Message& m) {
+    if (!(to == client_id(1))) return false;
+    if (!lost_deliver && m.type == MsgType::kDeliver) {
+      return lost_deliver = true;
+    }
+    if (!lost_fill && m.type == MsgType::kStateReply) return lost_fill = true;
+    return false;
+  });
+  std::string expect;
+  for (int i = 0; i < 7; ++i) {
+    const std::string chunk = std::to_string(i) + ";";
+    expect += chunk;
+    w.client(0).bcast_update(kG, kObj, to_bytes(chunk));
+    w.settle();
+  }
+  w.rt.run_for(10 * kSecond);
+  ASSERT_TRUE(lost_deliver);
+  ASSERT_TRUE(lost_fill);
+
+  const SharedState* st = w.client(1).group_state(kG);
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->head_seq(), 7u);
+  ASSERT_TRUE(st->has_object(kObj));
+  EXPECT_EQ(to_string(*st->object(kObj)), expect);
+  EXPECT_EQ(w.client(1).expected_seq(kG), 8u);
+}
+
+TEST(FaultInjection, LeafRecoversALostGapFill) {
+  ReplicatedWorld w(3, 2);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  w.client(1).join(kG);
+  w.settle();
+
+  // Lose the first sequenced multicast to leaf 2 and the fill it asks for.
+  bool lost_seq = false;
+  bool lost_fill = false;
+  w.rt.set_drop_filter([&](NodeId, NodeId to, const Message& m) {
+    if (!(to == w.server_ids[2])) return false;
+    if (!lost_seq && m.type == MsgType::kSeqMulticast) return lost_seq = true;
+    if (!lost_fill && m.type == MsgType::kStateReply) return lost_fill = true;
+    return false;
+  });
+  std::string expect;
+  for (int i = 0; i < 6; ++i) {
+    const std::string chunk = std::to_string(i) + ";";
+    expect += chunk;
+    w.client(0).bcast_update(kG, kObj, to_bytes(chunk));
+    w.settle();
+  }
+  w.run_ms(10000);
+  ASSERT_TRUE(lost_seq);
+  ASSERT_TRUE(lost_fill);
+
+  const SharedState* leaf_copy = w.leaf(2).local_state(kG);
+  ASSERT_NE(leaf_copy, nullptr);
+  EXPECT_EQ(leaf_copy->head_seq(), 6u);
+  ASSERT_TRUE(leaf_copy->has_object(kObj));
+  EXPECT_EQ(to_string(*leaf_copy->object(kObj)), expect);
+  const SharedState* st = w.client(1).group_state(kG);
+  ASSERT_NE(st, nullptr);
+  ASSERT_TRUE(st->has_object(kObj));
+  EXPECT_EQ(to_string(*st->object(kObj)), expect);
+}
+
+// A callback may call back into the client: a member that leaves from
+// on_deliver while a gap fill is being applied erases the group's copy under
+// the fill, which must stop there (ASan reads a freed copy otherwise).
+TEST(FaultInjection, LeavingFromOnDeliverDuringAGapFillStopsTheFill) {
+  SingleServerWorld w(2);
+  CoronaClient& leaver = w.client(1);
+  std::vector<SeqNo> delivered;
+  CoronaClient::Callbacks cb;
+  cb.on_deliver = [&](GroupId g, const UpdateRecord& rec) {
+    delivered.push_back(rec.seq);
+    if (rec.seq == 1) leaver.leave(g);
+  };
+  leaver.set_callbacks(cb);
+  w.client(0).create_group(kG, "g", true);
+  w.settle();
+  w.client(0).join(kG);
+  leaver.join(kG);
+  w.settle();
+
+  // Lose seq 1 to the leaver: seq 2 then asks for the fill of [1, 2].
+  bool dropped = false;
+  w.rt.set_drop_filter([&](NodeId, NodeId to, const Message& m) {
+    if (!dropped && to == client_id(1) && m.type == MsgType::kDeliver) {
+      return dropped = true;
+    }
+    return false;
+  });
+  w.client(0).bcast_update(kG, kObj, to_bytes("one;"));
+  w.settle();
+  w.rt.clear_drop_filter();
+  w.client(0).bcast_update(kG, kObj, to_bytes("two;"));
+  w.client(0).bcast_update(kG, kObj, to_bytes("three;"));
+  w.settle();
+
+  ASSERT_TRUE(dropped);
+  EXPECT_FALSE(leaver.is_joined(kG));
+  EXPECT_EQ(leaver.group_state(kG), nullptr);
+  EXPECT_EQ(delivered, (std::vector<SeqNo>{1}));
 }
 
 TEST(FaultInjection, LossyLinkEventuallyConverges) {

@@ -152,8 +152,8 @@ GOLDENS = [
     GoldenSpec(
         "golden-gap-detection-off",
         "src/core/client.cc",
-        r"rec\.seq > r\.next_expected && config_\.gap_detection",
-        "rec.seq > r.next_expected && false",
+        r"if \(!config_\.gap_detection\) break;",
+        "if (true) break;",
         "client applies reordered deliveries without gap detection "
         "(--seed-bug equivalent: silent divergence)",
     ),
